@@ -263,6 +263,27 @@ def _dual_2_distributive(L: FinLattice) -> bool:
 # -- congruences -------------------------------------------------------------
 
 
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], x: int, y: int) -> bool:
+    """Merge the classes of x and y; False when they were already one class.
+
+    The smaller root wins, so every root is the least member of its class.
+    """
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx == ry:
+        return False
+    if rx > ry:
+        rx, ry = ry, rx
+    parent[ry] = rx
+    return True
+
+
 @dataclass(frozen=True)
 class Congruence:
     """A lattice congruence given by its block partition.
@@ -275,22 +296,8 @@ class Congruence:
 
     @classmethod
     def from_union_find(cls, parent: list[int]) -> "Congruence":
-        n = len(parent)
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        rep: dict[int, int] = {}
-        block = [0] * n
-        for i in range(n):
-            r = find(i)
-            if r not in rep:
-                rep[r] = i
-            block[i] = rep[r]
-        return cls(tuple(block))
+        """The partition of a union-find array built with _union."""
+        return cls(tuple(_find(parent, i) for i in range(len(parent))))
 
     def blocks(self) -> list[tuple[int, ...]]:
         out: dict[int, list[int]] = {}
@@ -325,64 +332,46 @@ class Congruence:
 def principal_congruence(L: FinLattice, a: int, b: int) -> Congruence:
     """Least congruence identifying a and b.
 
-    Starts from the pair (a^b, avb) and closes under joining and meeting
-    with every element until the partition is stable.
+    Starts from the pair (a^b, avb).  Each pair that merges two blocks
+    queues its translates (x v c, y v c) and (x ^ c, y ^ c) for every c;
+    an equivalence generated by pairs whose translates it identifies is
+    a congruence, so the partition is closed when the queue is empty.
     """
-    n = L.n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        if rx > ry:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        return True
-
+    parent = list(range(L.n))
     jt, mt = L.join_table, L.meet_table
-    union(mt[a][b], jt[a][b])
-    changed = True
-    while changed:
-        changed = False
-        # group elements by current block and close under the operations
-        reps: dict[int, int] = {}
-        for i in range(n):
-            r = find(i)
-            if r in reps:
-                x = reps[r]
-                for c in range(n):
-                    if union(jt[x][c], jt[i][c]):
-                        changed = True
-                    if union(mt[x][c], mt[i][c]):
-                        changed = True
-            else:
-                reps[r] = i
+    pending = [(mt[a][b], jt[a][b])]
+    while pending:
+        x, y = pending.pop()
+        if not _union(parent, x, y):
+            continue
+        for row_x, row_y in ((jt[x], jt[y]), (mt[x], mt[y])):
+            for u, v in zip(row_x, row_y):
+                if u != v:
+                    pending.append((u, v))
     return Congruence.from_union_find(parent)
 
 
-def monolith(L: FinLattice) -> Congruence | None:
-    """Least nonzero congruence, or None when it does not exist.
+def _principal_congruences(L: FinLattice) -> list[Congruence]:
+    """The distinct principal congruences of covering pairs, without zero.
 
-    Every nonzero congruence collapses some covering pair, so it suffices
-    to compare the principal congruences of covering pairs.
+    Every nonzero congruence collapses some covering pair a < b.  Taking
+    j minimal with j <= b and not j <= a, the pair (j_*, j) of j and its
+    unique lower cover is perspective to (a, b), so both generate the same
+    congruence and the join-irreducibles suffice.
     """
-    principals: list[Congruence] = []
+    out: list[Congruence] = []
     seen: set[tuple[int, ...]] = set()
-    for i in range(L.n):
-        for j in L.lower_covers[i]:
-            th = principal_congruence(L, j, i)
-            if th.block_of not in seen:
-                seen.add(th.block_of)
-                principals.append(th)
-    if not principals:
-        return None
+    for j in L.join_irreducibles:
+        th = principal_congruence(L, L.lower_covers[j][0], j)
+        if th.block_of not in seen:
+            seen.add(th.block_of)
+            out.append(th)
+    return out
+
+
+def monolith(L: FinLattice) -> Congruence | None:
+    """Least nonzero congruence, or None when it does not exist."""
+    principals = _principal_congruences(L)
     for cand in principals:
         if all(cand.refines(other) for other in principals):
             return cand
@@ -390,19 +379,13 @@ def monolith(L: FinLattice) -> Congruence | None:
 
 
 def congruence_lattice(L: FinLattice) -> list[Congruence]:
-    """All congruences of L, by join-closing the principal ones. Small L only."""
-    n = L.n
-    zero = Congruence(tuple(range(n)))
-    principals = []
+    """All congruences of L, zero first, by join-closing the principal ones."""
+    zero = Congruence(tuple(range(L.n)))
+    principals = _principal_congruences(L)
     seen = {zero.block_of}
-    for i in range(n):
-        for j in L.lower_covers[i]:
-            th = principal_congruence(L, j, i)
-            if th.block_of not in seen:
-                seen.add(th.block_of)
-                principals.append(th)
-    out = [zero] + list(principals)
-    frontier = list(principals)
+    seen.update(th.block_of for th in principals)
+    out = [zero] + principals
+    frontier = principals
     while frontier:
         nxt = []
         for th in frontier:
@@ -417,27 +400,11 @@ def congruence_lattice(L: FinLattice) -> list[Congruence]:
 
 
 def _congruence_join(L: FinLattice, a: Congruence, b: Congruence) -> Congruence:
-    parent = list(range(L.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return
-        if rx > ry:
-            rx, ry = ry, rx
-        parent[ry] = rx
-
-    for th in (a, b):
-        for block in th.blocks():
-            for x in block[1:]:
-                union(block[0], x)
     # the partition join of two congruences of a lattice is a congruence
+    parent = list(range(L.n))
+    for i in range(L.n):
+        _union(parent, i, a.block_of[i])
+        _union(parent, i, b.block_of[i])
     return Congruence.from_union_find(parent)
 
 
@@ -563,45 +530,46 @@ def embedding_search(K: FinLattice, L: FinLattice) -> LatticeMap | None:
 def surjection_search(K: FinLattice, L: FinLattice):
     """Iterate all surjective lattice homomorphisms from K onto L.
 
+    A surjection is the quotient map K -> K/theta of its kernel theta
+    followed by an isomorphism K/theta -> L.  So the search walks the
+    congruences of K with L.n blocks, orders the blocks of each one, and
+    composes the quotient map with every order isomorphism onto L; each
+    map is still verified to be a surjective homomorphism.
+
     Deterministic order: lexicographic in (bottom image, join-irreducible
-    images with join-irreducibles ascending).
+    images with join-irreducibles ascending).  The bottom always maps to
+    the bottom, and the join-irreducible images determine the map, so the
+    maps are sorted by those images alone.
     """
     if K.n < L.n:
         return
-    jis = list(K.join_irreducibles)
-
-    def extend(idx: int, bot_img: int, imgs: dict[int, int]):
-        if idx == len(jis):
-            values = _derived_hom(K, L, bot_img, imgs)
-            cand = LatticeMap(K, L, values)
+    found = []
+    for theta in congruence_lattice(K):
+        block_of = theta.block_of
+        reps = [i for i, b in enumerate(block_of) if b == i]
+        if len(reps) != L.n:
+            continue
+        index = {r: q for q, r in enumerate(reps)}
+        # [a] <= [b] iff a ^ b lies in the block of a
+        up = tuple(sum(1 << index[b] for b in reps if block_of[K.meet_table[a][b]] == a)
+                   for a in reps)
+        quotient = [index[b] for b in block_of]
+        for iso in isomorphisms(FinLattice(up, validate=False), L):
+            cand = LatticeMap(K, L, tuple(iso.values[q] for q in quotient))
             if cand.surjective and cand.preserves_ops():
-                yield cand
-            return
-        j = jis[idx]
-        for v in range(L.n):
-            if not L.leq(bot_img, v):
-                continue
-            ok = True
-            for j2, v2 in imgs.items():
-                if K.leq(j2, j) and not L.leq(v2, v):
-                    ok = False
-                    break
-                if K.leq(j, j2) and not L.leq(v, v2):
-                    ok = False
-                    break
-            if ok:
-                imgs[j] = v
-                yield from extend(idx + 1, bot_img, imgs)
-                del imgs[j]
-
-    for b in range(L.n):
-        yield from extend(0, b, {})
+                found.append(cand)
+    found.sort(key=lambda m: tuple(m.values[j] for j in K.join_irreducibles))
+    yield from found
 
 
-def find_isomorphism(K: FinLattice, L: FinLattice) -> LatticeMap | None:
-    """Order isomorphism search with invariant pruning."""
+def isomorphisms(K: FinLattice, L: FinLattice):
+    """Iterate all order isomorphisms from K onto L, lexicographic in the images.
+
+    Backtracks element by element over images with the same counts of
+    elements below and above and of lower and upper covers.
+    """
     if K.n != L.n:
-        return None
+        return
 
     def profile(M: FinLattice, i: int) -> tuple:
         return (bin(M.down[i]).count("1"), bin(M.up[i]).count("1"),
@@ -610,14 +578,15 @@ def find_isomorphism(K: FinLattice, L: FinLattice) -> LatticeMap | None:
     pk = [profile(K, i) for i in range(K.n)]
     pl = [profile(L, i) for i in range(L.n)]
     if sorted(pk) != sorted(pl):
-        return None
+        return
     candidates = [[j for j in range(L.n) if pl[j] == pk[i]] for i in range(K.n)]
     used = [False] * L.n
     assign = [-1] * K.n
 
-    def extend(i: int) -> bool:
+    def extend(i: int):
         if i == K.n:
-            return True
+            yield LatticeMap(K, L, tuple(assign))
+            return
         for v in candidates[i]:
             if used[v]:
                 continue
@@ -630,15 +599,16 @@ def find_isomorphism(K: FinLattice, L: FinLattice) -> LatticeMap | None:
             if ok:
                 assign[i] = v
                 used[v] = True
-                if extend(i + 1):
-                    return True
+                yield from extend(i + 1)
                 used[v] = False
                 assign[i] = -1
-        return False
 
-    if extend(0):
-        return LatticeMap(K, L, tuple(assign))
-    return None
+    yield from extend(0)
+
+
+def find_isomorphism(K: FinLattice, L: FinLattice) -> LatticeMap | None:
+    """First order isomorphism from K onto L in lexicographic image order, or None."""
+    return next(isomorphisms(K, L), None)
 
 
 # -- enumeration of all small lattices ---------------------------------------
@@ -787,20 +757,29 @@ def lattice_from_json(data: dict) -> FinLattice:
     try:
         n = int(data["size"])
         pairs = data["leq_pairs"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise LatticeError(f"bad lattice JSON: {exc}") from exc
     if n < 1:
         raise LatticeError("lattice must have at least one element")
+    if not isinstance(pairs, (list, tuple)):
+        raise LatticeError("leq_pairs must be a list")
     up = [1 << i for i in range(n)]
     for pair in pairs:
-        i, j = int(pair[0]), int(pair[1])
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(x, int) for x in pair)):
+            raise LatticeError(f"leq pair {pair!r} is not a pair of integers")
+        i, j = pair
         if not (0 <= i < n and 0 <= j < n):
             raise LatticeError(f"leq pair {pair} out of range")
         up[i] |= 1 << j
     _transitive_close(up, n)
     labels = data.get("labels")
     if labels is not None:
+        if not isinstance(labels, (list, tuple)):
+            raise LatticeError("labels must be a list")
         labels = tuple(str(x) for x in labels)
+        if len(set(labels)) != len(labels):
+            raise LatticeError("labels must be distinct")
     return FinLattice(tuple(up), labels)
 
 

@@ -1,0 +1,44 @@
+"""Slow reference implementations that the tests compare the package against."""
+
+from colat.lattice import FinLattice, LatticeMap, _derived_hom
+
+
+def backtracking_surjections(K: FinLattice, L: FinLattice):
+    """Iterate all surjective lattice homomorphisms from K onto L.
+
+    Backtracks over images of the bottom and the join-irreducibles of K,
+    derives the rest of the map by joins and keeps the maps that are
+    surjective homomorphisms.  Deterministic order: lexicographic in
+    (bottom image, join-irreducible images with join-irreducibles
+    ascending).
+    """
+    if K.n < L.n:
+        return
+    jis = list(K.join_irreducibles)
+
+    def extend(idx: int, bot_img: int, imgs: dict[int, int]):
+        if idx == len(jis):
+            values = _derived_hom(K, L, bot_img, imgs)
+            cand = LatticeMap(K, L, values)
+            if cand.surjective and cand.preserves_ops():
+                yield cand
+            return
+        j = jis[idx]
+        for v in range(L.n):
+            if not L.leq(bot_img, v):
+                continue
+            ok = True
+            for j2, v2 in imgs.items():
+                if K.leq(j2, j) and not L.leq(v2, v):
+                    ok = False
+                    break
+                if K.leq(j, j2) and not L.leq(v, v2):
+                    ok = False
+                    break
+            if ok:
+                imgs[j] = v
+                yield from extend(idx + 1, bot_img, imgs)
+                del imgs[j]
+
+    for b in range(L.n):
+        yield from extend(0, b, {})

@@ -7,6 +7,7 @@ every claimed boundary (chain lengths, catalog indices, product sizes).
 """
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from itertools import combinations
@@ -41,7 +42,7 @@ from colat.project import retract_section
 from colat.star import search_pq, star_identity
 from colat.terms import builtin, check, check_sigma, eval_term
 
-WORKERS = 8
+WORKERS = min(8, os.cpu_count() or 1)
 
 
 def _gate(capsys, num, label, body):

@@ -239,6 +239,19 @@ class TestClassify:
         assert rc == 1
         assert out.strip() == "not-member"
 
+    @pytest.mark.parametrize("data", [
+        {"size": 3, "leq_pairs": [1, 2]},
+        {"size": 2, "leq_pairs": [[0, 1]], "labels": ["a", "a"]},
+    ])
+    def test_malformed_lattice(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "classify", str(path))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestTracks:
     def test_pentagon_index11(self, pent, capsys):

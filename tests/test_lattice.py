@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from colat.catalog import co_chain, l_mn
 from colat.lattice import (
     FinLattice,
     LatticeError,
@@ -14,6 +15,8 @@ from colat.lattice import (
     direct_product,
     embedding_search,
     find_isomorphism,
+    isomorphisms,
+    iter_lattices,
     lattice_from_json,
     lattice_to_json,
     lattices_of_size,
@@ -23,6 +26,7 @@ from colat.lattice import (
     surjection_search,
 )
 from colat.poset import Poset
+from oracles import backtracking_surjections
 
 
 def chain_lattice(n: int) -> FinLattice:
@@ -221,6 +225,38 @@ def test_surjection_search_projection_found():
     assert (0, 0, 1, 1) in values and (0, 1, 0, 1) in values
 
 
+def _same_surjections_as_oracle(K: FinLattice, T: FinLattice) -> None:
+    got = [m.values for m in surjection_search(K, T)]
+    assert got == [m.values for m in backtracking_surjections(K, T)]
+
+
+def test_surjection_search_matches_oracle_on_small_lattices():
+    targets = [co_chain(1), co_chain(2), co_chain(3), l_mn(1, 1), l_mn(1, 2)]
+    for K in iter_lattices(7):
+        for T in targets:
+            _same_surjections_as_oracle(K, T)
+
+
+def test_surjection_search_matches_oracle_on_census_sources():
+    base = [co_chain(2), co_chain(3), co_chain(4), co_chain(5), l_mn(1, 1), l_mn(1, 2)]
+    sources = base + [direct_product(A, B)
+                      for A, B in itertools.combinations_with_replacement(base, 2)
+                      if A.n * B.n <= 20]
+    assert len(sources) == 8
+    for K in sources:
+        for T in (co_chain(3), l_mn(1, 1), l_mn(1, 2)):
+            _same_surjections_as_oracle(K, T)
+
+
+def test_isomorphisms_are_the_automorphisms_of_co3():
+    T = co_chain(3)
+    autos = list(isomorphisms(T, T))
+    # the identity and the mirror image of the chain
+    assert len(autos) == 2
+    assert autos[0].values == tuple(range(T.n))
+    assert all(m.preserves_ops() and m.injective for m in autos)
+
+
 def test_find_isomorphism():
     L1, _ = Poset.chain(3).co_lattice()
     L2, _ = Poset.chain(3).dual().co_lattice()
@@ -302,6 +338,20 @@ def test_json_round_trip():
     L = pentagon()
     M = lattice_from_json(lattice_to_json(L))
     assert M.up == L.up and M.labels == L.labels
+
+
+@pytest.mark.parametrize("data", [
+    {"size": "abc", "leq_pairs": []},
+    {"size": 3, "leq_pairs": [1, 2]},
+    {"size": 3, "leq_pairs": [[0, 1, 2]]},
+    {"size": 3, "leq_pairs": [["0", 1]]},
+    {"size": 3, "leq_pairs": 5},
+    {"size": 2, "leq_pairs": [[0, 1]], "labels": ["a", "a"]},
+    {"size": 2, "leq_pairs": [[0, 1]], "labels": 7},
+])
+def test_lattice_from_json_rejects_malformed(data):
+    with pytest.raises(LatticeError):
+        lattice_from_json(data)
 
 
 def test_map_compose_and_verify():
