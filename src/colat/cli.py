@@ -332,7 +332,7 @@ def _cmd_retract(ns) -> int:
     target = _parse_target(ns.target)
     T = co_chain(target[1]) if target[0] == "co_chain" else l_mn(target[1], target[2])
     data = inputs.json(ns.pi)
-    values = data.get("values")
+    values = data.get("values") if isinstance(data, dict) else None
     if (not isinstance(values, list) or len(values) != Lp.n
             or not all(isinstance(v, int) and 0 <= v < T.n for v in values)):
         raise ValueError("pi JSON needs a 'values' list mapping every element")

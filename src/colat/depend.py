@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
-from .lattice import FinLattice, LatticeError, LatticeMap
+from .lattice import FinLattice, LatticeError, LatticeMap, bits
 
 
 def min_covers(L: FinLattice, p: int) -> list[tuple[int, ...]]:
@@ -69,11 +70,7 @@ def is_minimal_in(L: FinLattice, p: int, x: int, y: int) -> bool:
     """p <= x v y holds and no x' < x satisfies p <= x' v y."""
     if not L.leq(p, L.join_table[x][y]):
         return False
-    below = L.down[x] & ~(1 << x)
-    m = below
-    while m:
-        x2 = (m & -m).bit_length() - 1
-        m &= m - 1
+    for x2 in bits(L.down[x] & ~(1 << x)):
         if L.leq(p, L.join_table[x2][y]):
             return False
     return True
@@ -110,80 +107,51 @@ class InvariantReport:
 
 def check_dependency_invariants(L: FinLattice) -> list[InvariantReport]:
     """Check transitivity, antichain shape, cover minimality, the two-step
-    cover law, and the ordered-interval law over the join-irreducibles."""
+    cover law, and the ordered-interval law over the join-irreducibles.
+
+    Each witness is the first failing tuple in the nested loop order.
+    """
     jis = L.join_irreducibles
+    jt = L.join_table
     rd = {a: dependents(L, a) for a in jis}
     rd_sets = {a: set(v) for a, v in rd.items()}
+    searches = {
+        "dependency-transitive": (
+            (a, b, c) for a in jis for b in rd[a] for c in rd[b]
+            if c != a and c not in rd_sets[a]),
+        "dependents-antichain": (
+            (a, x, y) for a in jis for x in rd[a] for y in rd[a]
+            if x != y and L.leq(x, y)),
+        "covers-minimal-above": (
+            (p, x, y) for p in jis for x in rd[p] for y in rd[p]
+            if x < y and L.leq(p, jt[x][y])
+            and not (is_minimal_in(L, p, x, y) and is_minimal_in(L, p, y, x))),
+        # x = y makes the conclusion a trivial cover, so the pair is kept distinct
+        "two-step-cover": (
+            (a, u, x, y) for a in jis for u in rd[a]
+            for x in rd[a] if x != u and L.leq(a, jt[u][x])
+            for y in rd[a] if y != u and y != x
+            and L.leq(a, jt[u][y]) and L.leq(x, jt[a][y])
+            and not is_minimal_pair_cover(L, x, u, y)),
+    }
     reports = []
-
-    witness = None
-    for a in jis:
-        for b in rd[a]:
-            for c in rd[b]:
-                if c != a and c not in rd_sets[a]:
-                    witness = (a, b, c)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    reports.append(InvariantReport("dependency-transitive", witness is None, witness))
-
-    witness = None
-    for a in jis:
-        ds = rd[a]
-        for i in range(len(ds)):
-            for j in range(len(ds)):
-                if i != j and L.leq(ds[i], ds[j]):
-                    witness = (a, ds[i], ds[j])
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    reports.append(InvariantReport("dependents-antichain", witness is None, witness))
-
-    witness = None
-    for p in jis:
-        ds = rd[p]
-        for x in ds:
-            for y in ds:
-                if x < y and L.leq(p, L.join_table[x][y]):
-                    if not (is_minimal_in(L, p, x, y) and is_minimal_in(L, p, y, x)):
-                        witness = (p, x, y)
-                        break
-            if witness:
-                break
-        if witness:
-            break
-    reports.append(InvariantReport("covers-minimal-above", witness is None, witness))
-
-    # x = y makes the conclusion a trivial cover, so the pair is kept distinct
-    witness = None
-    for a in jis:
-        ds = rd[a]
-        for u in ds:
-            for x in ds:
-                if x == u or not L.leq(a, L.join_table[u][x]):
-                    continue
-                for y in ds:
-                    if y == u or y == x:
-                        continue
-                    if not L.leq(a, L.join_table[u][y]):
-                        continue
-                    if not L.leq(x, L.join_table[a][y]):
-                        continue
-                    if not is_minimal_pair_cover(L, x, u, y):
-                        witness = (a, u, x, y)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    reports.append(InvariantReport("two-step-cover", witness is None, witness))
+    for name, failures in searches.items():
+        witness = next(failures, None)
+        reports.append(InvariantReport(name, witness is None, witness))
     return reports
+
+
+def _interval_value_failures(L: FinLattice):
+    jis, jt = L.join_irreducibles, L.join_table
+    for a in jis:
+        for x in jis:
+            bs = [b for b in jis if b != a and is_minimal_pair_cover(L, x, a, b)]
+            # distinct triples in the order of the triple loop over bs
+            for b0, b1, b2 in permutations(bs, 3):
+                j0, j1, j2 = jt[a][b0], jt[a][b1], jt[a][b2]
+                if L.leq(j0, j1) and L.leq(j1, j2) and (
+                        j0 == j1 or j1 == j2 or not L.leq(b1, jt[b0][b2])):
+                    yield a, x, b0, b1, b2
 
 
 def interval_value_check(L: FinLattice) -> InvariantReport:
@@ -191,33 +159,7 @@ def interval_value_check(L: FinLattice) -> InvariantReport:
     joins forming a chain, must form a strict chain whose middle member lies
     under the join of the outer two.  Meaningful on join-semidistributive
     lattices satisfying identity E."""
-    jis = L.join_irreducibles
-    witness = None
-    for a in jis:
-        for x in jis:
-            bs = [b for b in jis if b != a and is_minimal_pair_cover(L, x, a, b)]
-            for b0 in bs:
-                for b1 in bs:
-                    for b2 in bs:
-                        if len({b0, b1, b2}) != 3:
-                            continue
-                        j0 = L.join_table[a][b0]
-                        j1 = L.join_table[a][b1]
-                        j2 = L.join_table[a][b2]
-                        if L.leq(j0, j1) and L.leq(j1, j2):
-                            if j0 == j1 or j1 == j2 or \
-                                    not L.leq(b1, L.join_table[b0][b2]):
-                                witness = (a, x, b0, b1, b2)
-                        if witness:
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next(_interval_value_failures(L), None)
     return InvariantReport("ordered-interval-values", witness is None, witness)
 
 
@@ -280,9 +222,9 @@ def is_weak_bitrack(L: FinLattice, t: WeakBiTrack) -> bool:
     return xs[0] != jt[mt[xs[0]][xs[1]]][mt[xs[0]][ys[1]]]
 
 
-def _extend_track(L: FinLattice, xs: list[int], x: int, upto: int, sink) -> None:
+def _extend_track(L: FinLattice, xs: list[int], x: int, upto: int):
     if len(xs) - 1 == upto:
-        sink(tuple(xs))
+        yield tuple(xs)
         return
     jt, mt = L.join_table, L.meet_table
     k = len(xs)
@@ -292,23 +234,26 @@ def _extend_track(L: FinLattice, xs: list[int], x: int, upto: int, sink) -> None
         if k >= 2 and L.leq(xs[k - 2], jt[mt[xs[k - 1]][nxt]][x]):
             continue
         xs.append(nxt)
-        _extend_track(L, xs, x, upto, sink)
+        yield from _extend_track(L, xs, x, upto)
         xs.pop()
+
+
+def _tracks_at(L: FinLattice, x0: int, length: int):
+    """Weak tracks of the given length with head x0, by side, then entries."""
+    jt, mt = L.join_table, L.meet_table
+    for side in range(L.n):
+        for x1 in range(L.n):
+            if x0 != jt[mt[x0][x1]][mt[x0][side]] and L.leq(x0, jt[x1][side]):
+                for entries in _extend_track(L, [x0, x1], side, length):
+                    yield WeakTrack(entries, side)
 
 
 def weak_tracks(L: FinLattice, n: int):
     """All weak tracks of length n, in ascending lexicographic element order."""
     if n < 1:
         raise ValueError("track length must be at least 1")
-    jt, mt = L.join_table, L.meet_table
     for x0 in range(L.n):
-        for side in range(L.n):
-            for x1 in range(L.n):
-                if x0 != jt[mt[x0][x1]][mt[x0][side]] and L.leq(x0, jt[x1][side]):
-                    found = []
-                    _extend_track(L, [x0, x1], side, n, found.append)
-                    for entries in found:
-                        yield WeakTrack(entries, side)
+        yield from _tracks_at(L, x0, n)
 
 
 def weak_bitracks(L: FinLattice, m: int, n: int):
@@ -317,29 +262,18 @@ def weak_bitracks(L: FinLattice, m: int, n: int):
         raise ValueError("bi-track index components must be at least 1")
     jt, mt = L.join_table, L.meet_table
     for x0 in range(L.n):
-        firsts = []
-        for side in range(L.n):
-            for x1 in range(L.n):
-                if x0 != jt[mt[x0][x1]][mt[x0][side]] and L.leq(x0, jt[x1][side]):
-                    _extend_track(L, [x0, x1], side, m,
-                                  lambda e, s=side: firsts.append(WeakTrack(e, s)))
+        firsts = list(_tracks_at(L, x0, m))
         if not firsts:
             continue
-        seconds = []
-        for side in range(L.n):
-            for y1 in range(L.n):
-                if x0 != jt[mt[x0][y1]][mt[x0][side]] and L.leq(x0, jt[y1][side]):
-                    _extend_track(L, [x0, y1], side, n,
-                                  lambda e, s=side: seconds.append(WeakTrack(e, s)))
+        seconds = list(_tracks_at(L, x0, n))
         for f in firsts:
             for s in seconds:
-                cand = WeakBiTrack(f, s)
                 xs, ys = f.entries, s.entries
                 if not L.leq(x0, jt[xs[1]][ys[1]]):
                     continue
                 if x0 == jt[mt[x0][xs[1]]][mt[x0][ys[1]]]:
                     continue
-                yield cand
+                yield WeakBiTrack(f, s)
 
 
 def track_embedding(L: FinLattice, t: WeakBiTrack) -> LatticeMap:

@@ -3,13 +3,23 @@
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 
 class LatticeError(ValueError):
     """Raised when input data does not describe a lattice."""
+
+
+# -- order core shared with Poset ---------------------------------------------
+
+
+def bits(mask: int):
+    """Yield the positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _transitive_close(up: list[int], n: int) -> list[int]:
@@ -19,15 +29,74 @@ def _transitive_close(up: list[int], n: int) -> list[int]:
         changed = False
         for i in range(n):
             acc = up[i]
-            m = acc
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
+            for j in bits(acc):
                 acc |= up[j]
             if acc != up[i]:
                 up[i] = acc
                 changed = True
     return up
+
+
+def _transpose(masks) -> list[int]:
+    """Transpose a bit matrix: bit i of out[j] is bit j of masks[i].
+
+    Turns up-sets into down-sets and back.
+    """
+    out = [0] * len(masks)
+    for i, m in enumerate(masks):
+        for j in bits(m):
+            out[j] |= 1 << i
+    return out
+
+
+def _order_down(up, validate: bool, error: type[ValueError]) -> tuple[int, ...]:
+    """Down-sets of the order given by up-sets, raising error on a non-order.
+
+    Reflexivity is always checked; antisymmetry and then transitivity only
+    when validate is set.
+    """
+    for i, u in enumerate(up):
+        if not (u >> i) & 1:
+            raise error("order is not reflexive")
+    down = _transpose(up)
+    if validate:
+        for i, u in enumerate(up):
+            if u & down[i] != 1 << i:
+                raise error("order is not antisymmetric")
+        for i, u in enumerate(up):
+            for j in bits(u):
+                if up[j] & ~u:
+                    raise error("order is not transitive")
+    return tuple(down)
+
+
+def _covers(below, above) -> tuple[tuple[int, ...], ...]:
+    """For each i, the j < i with nothing strictly between, ascending.
+
+    below[i] and above[i] are the reflexive sets of elements under and over
+    i; passing up-sets as below gives upper covers instead.
+    """
+    out = []
+    for i, b in enumerate(below):
+        strict = b & ~(1 << i)
+        out.append(tuple(j for j in bits(strict) if not strict & above[j] & ~(1 << j)))
+    return tuple(out)
+
+
+def _extreme_of(mask: int, rel) -> int:
+    """The member j of mask with all of mask in rel[j], or -1.
+
+    With up-sets as rel this is the least member, with down-sets the greatest.
+    """
+    m = mask
+    while m:
+        # inline, not bits(): with bits() here and in _lattice_extensions the raw
+        # extensions of sizes 2..8 took 1.8 s, not 1.0 s (2-core Xeon, Python 3.11)
+        j = (m & -m).bit_length() - 1
+        m &= m - 1
+        if mask & ~rel[j] == 0:
+            return j
+    return -1
 
 
 class FinLattice:
@@ -48,27 +117,7 @@ class FinLattice:
         if len(labels) != n:
             raise LatticeError("label count does not match element count")
         self.labels = tuple(labels)
-        down = [0] * n
-        for i in range(n):
-            if not (up[i] >> i) & 1:
-                raise LatticeError("order is not reflexive")
-            m = up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                down[j] |= 1 << i
-        self.down = tuple(down)
-        if validate:
-            for i in range(n):
-                if self.up[i] & self.down[i] != 1 << i:
-                    raise LatticeError("order is not antisymmetric")
-            for i in range(n):
-                m = self.up[i]
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if self.up[j] & ~self.up[i]:
-                        raise LatticeError("order is not transitive")
+        self.down = _order_down(self.up, validate, LatticeError)
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -80,21 +129,21 @@ class FinLattice:
                 ub = up[i] & up[j]
                 if not ub:
                     raise LatticeError(f"elements {i},{j} have no upper bound")
-                v = _least_of(ub, up)
+                v = _extreme_of(ub, up)
                 if v < 0:
                     raise LatticeError(f"elements {i},{j} have no join")
                 join[i][j] = join[j][i] = v
                 lb = down[i] & down[j]
                 if not lb:
                     raise LatticeError(f"elements {i},{j} have no lower bound")
-                v = _greatest_of(lb, down)
+                v = _extreme_of(lb, down)
                 if v < 0:
                     raise LatticeError(f"elements {i},{j} have no meet")
                 meet[i][j] = meet[j][i] = v
         self.join_table = join
         self.meet_table = meet
-        self.bottom = _least_of((1 << n) - 1, up)
-        self.top = _greatest_of((1 << n) - 1, down)
+        self.bottom = _extreme_of((1 << n) - 1, up)
+        self.top = _extreme_of((1 << n) - 1, down)
         if self.bottom < 0 or self.top < 0:
             raise LatticeError("lattice lacks bottom or top")
 
@@ -123,26 +172,11 @@ class FinLattice:
 
     @cached_property
     def lower_covers(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for i in range(self.n):
-            below = self.down[i] & ~(1 << i)
-            covers = []
-            m = below
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                if not (below & self.up[j] & ~(1 << j)):
-                    covers.append(j)
-            out.append(tuple(covers))
-        return tuple(out)
+        return _covers(self.down, self.up)
 
     @cached_property
     def upper_covers(self) -> tuple[tuple[int, ...], ...]:
-        out = [[] for _ in range(self.n)]
-        for i in range(self.n):
-            for j in self.lower_covers[i]:
-                out[j].append(i)
-        return tuple(tuple(sorted(c)) for c in out)
+        return _covers(self.up, self.down)
 
     @cached_property
     def join_irreducibles(self) -> tuple[int, ...]:
@@ -159,39 +193,12 @@ class FinLattice:
 
     @cached_property
     def np_tables(self):
+        """Flat int32 join and meet tables: entry i * n + j is i v j, i ^ j."""
         import numpy as np
 
-        n = self.n
-        leq = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            m = self.up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                leq[i, j] = True
         join = np.array(self.join_table, dtype=np.int32)
         meet = np.array(self.meet_table, dtype=np.int32)
-        return leq, join.ravel(), meet.ravel()
-
-
-def _least_of(mask: int, up: tuple[int, ...] | list[int]) -> int:
-    m = mask
-    while m:
-        j = (m & -m).bit_length() - 1
-        m &= m - 1
-        if mask & ~up[j] == 0:
-            return j
-    return -1
-
-
-def _greatest_of(mask: int, down: tuple[int, ...] | list[int]) -> int:
-    m = mask
-    while m:
-        j = (m & -m).bit_length() - 1
-        m &= m - 1
-        if mask & ~down[j] == 0:
-            return j
-    return -1
+        return join.ravel(), meet.ravel()
 
 
 # -- structure predicates --------------------------------------------------
@@ -206,35 +213,12 @@ class StructuralFlags:
 
 def structural_predicates(L: FinLattice) -> StructuralFlags:
     """Evaluate the three structural laws by exhaustive assignment."""
-    n = L.n
+    elems = range(L.n)
     jt, mt = L.join_table, L.meet_table
-    distributive = True
-    for x in range(n):
-        mx = mt[x]
-        for y in range(n):
-            xy = mx[y]
-            jy = jt[y]
-            for z in range(n):
-                if mx[jy[z]] != jt[xy][mx[z]]:
-                    distributive = False
-                    break
-            if not distributive:
-                break
-        if not distributive:
-            break
-    jsd = True
-    for a in range(n):
-        ja = jt[a]
-        for b in range(n):
-            ab = ja[b]
-            for c in range(n):
-                if ja[c] == ab and ja[mt[b][c]] != ab:
-                    jsd = False
-                    break
-            if not jsd:
-                break
-        if not jsd:
-            break
+    distributive = all(mt[x][jt[y][z]] == jt[mt[x][y]][mt[x][z]]
+                       for x in elems for y in elems for z in elems)
+    jsd = not any(jt[a][c] == jt[a][b] and jt[a][mt[b][c]] != jt[a][b]
+                  for a in elems for b in elems for c in elems)
     return StructuralFlags(distributive, jsd, _dual_2_distributive(L))
 
 
@@ -242,7 +226,7 @@ def _dual_2_distributive(L: FinLattice) -> bool:
     import numpy as np
 
     n = L.n
-    _, join, meet = L.np_tables
+    join, meet = L.np_tables
     y0 = np.arange(n, dtype=np.int32).reshape(n, 1, 1)
     y1 = np.arange(n, dtype=np.int32).reshape(1, n, 1)
     y2 = np.arange(n, dtype=np.int32).reshape(1, 1, n)
@@ -440,32 +424,17 @@ class LatticeMap:
     def surjective(self) -> bool:
         return len(set(self.values)) == self.target.n
 
-    def to_json(self) -> dict:
-        return {
-            "source_size": self.source.n,
-            "target_size": self.target.n,
-            "values": list(self.values),
-        }
-
 
 def direct_product(L1: FinLattice, L2: FinLattice) -> FinLattice:
     n1, n2 = L1.n, L2.n
-    n = n1 * n2
     up = []
     labels = []
     for i in range(n1):
         for j in range(n2):
+            # element (a, b) is a * n2 + b, so row a of the up-set is L2.up[j]
             mask = 0
-            u1, u2 = L1.up[i], L2.up[j]
-            m1 = u1
-            while m1:
-                a = (m1 & -m1).bit_length() - 1
-                m1 &= m1 - 1
-                m2 = u2
-                while m2:
-                    b = (m2 & -m2).bit_length() - 1
-                    m2 &= m2 - 1
-                    mask |= 1 << (a * n2 + b)
+            for a in bits(L1.up[i]):
+                mask |= L2.up[j] << (a * n2)
             up.append(mask)
             labels.append(f"({L1.labels[i]},{L2.labels[j]})")
     return FinLattice(tuple(up), tuple(labels), validate=False)
@@ -479,10 +448,7 @@ def _derived_hom(K: FinLattice, target: FinLattice, bot_img: int,
     out = []
     for x in range(K.n):
         v = bot_img
-        m = K.down[x]
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
+        for j in bits(K.down[x]):
             if j in ji_imgs:
                 v = target.join_table[v][ji_imgs[j]]
         out.append(v)
@@ -616,13 +582,7 @@ def find_isomorphism(K: FinLattice, L: FinLattice) -> LatticeMap | None:
 
 def _canonical_key(down: tuple[int, ...]) -> tuple:
     n = len(down)
-    up = [0] * n
-    for i in range(n):
-        m = down[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            up[j] |= 1 << i
+    up = _transpose(down)
     inv = [(bin(down[i]).count("1"), bin(up[i]).count("1")) for i in range(n)]
     groups: dict[tuple, list[int]] = {}
     for i in range(n):
@@ -645,6 +605,8 @@ def _canonical_key(down: tuple[int, ...]) -> tuple:
             mask = 0
             m = down[old]
             while m:
+                # inline, not bits(): bits() made the keys of the 4,007 raw
+                # lattices of sizes 2..8 take 18% longer (2-core Xeon, Python 3.11)
                 j = (m & -m).bit_length() - 1
                 m &= m - 1
                 mask |= 1 << perm[j]
@@ -668,6 +630,7 @@ def _lattice_extensions(down: list[int], up: list[int], n_target: int, out: list
         ok = True
         m = mask
         while m:
+            # inline, not bits(): enumeration hot loop, see _extreme_of
             j = (m & -m).bit_length() - 1
             m &= m - 1
             if down[j] & ~mask:
@@ -681,7 +644,7 @@ def _lattice_extensions(down: list[int], up: list[int], n_target: int, out: list
         good = True
         for i in range(n):
             clb = down[i] & new_down
-            if _greatest_of(clb, down) < 0:
+            if _extreme_of(clb, down) < 0:
                 good = False
                 break
         if good:
@@ -691,7 +654,7 @@ def _lattice_extensions(down: list[int], up: list[int], n_target: int, out: list
                     i, j = members[ai], members[bi]
                     cub = up[i] & up[j]
                     if cub:
-                        least = _least_of(cub, up)
+                        least = _extreme_of(cub, up)
                         # previous pruning keeps a least upper bound whenever
                         # one exists; it must stay below the new element
                         if least < 0 or not (mask >> least) & 1:
@@ -722,14 +685,7 @@ def lattices_of_size(n: int) -> list[FinLattice]:
         if key in seen:
             continue
         seen.add(key)
-        up = [0] * n
-        for i in range(n):
-            m = down[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                up[j] |= 1 << i
-        out.append(FinLattice(tuple(up), validate=False))
+        out.append(FinLattice(tuple(_transpose(down)), validate=False))
     return out
 
 
@@ -742,14 +698,7 @@ def iter_lattices(max_size: int):
 
 
 def lattice_to_json(L: FinLattice) -> dict:
-    pairs = []
-    for i in range(L.n):
-        m = L.up[i] & ~(1 << i)
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            pairs.append([i, j])
-    pairs.sort()
+    pairs = [[i, j] for i in range(L.n) for j in bits(L.up[i] & ~(1 << i))]
     return {"size": L.n, "leq_pairs": pairs, "labels": list(L.labels)}
 
 
@@ -781,7 +730,3 @@ def lattice_from_json(data: dict) -> FinLattice:
         if len(set(labels)) != len(labels):
             raise LatticeError("labels must be distinct")
     return FinLattice(tuple(up), labels)
-
-
-def lattice_dumps(L: FinLattice) -> str:
-    return json.dumps(lattice_to_json(L), sort_keys=True)

@@ -14,13 +14,14 @@ anchor refutes membership.
 
 from __future__ import annotations
 
-import multiprocessing
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
 from .depend import dependency_closure
 from .lattice import FinLattice, LatticeError
+from .pool import ordered_map
 from .poset import Poset
 from .terms import CheckResult, check_sigma
 
@@ -245,18 +246,6 @@ def chain_order(L: FinLattice, a: int) -> ChainOrderWitness | None:
     return ChainOrderWitness(a, chain) if chain is not None else None
 
 
-_WORKER_LATTICE: FinLattice | None = None
-
-
-def _membership_worker_init(L: FinLattice) -> None:
-    global _WORKER_LATTICE
-    _WORKER_LATTICE = L
-
-
-def _membership_worker(a: int):
-    return chain_order(_WORKER_LATTICE, a)
-
-
 def decide_sub_lo(L: FinLattice, workers: int = 1) -> MembershipResult:
     """Decide membership of L in SUB(LO).
 
@@ -268,18 +257,9 @@ def decide_sub_lo(L: FinLattice, workers: int = 1) -> MembershipResult:
     jis = L.join_irreducibles
     found: list[ChainOrderWitness] = []
     failing: int | None = None
-    if workers > 1 and len(jis) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_membership_worker_init, initargs=(L,)) as pool:
-            for a, w in zip(jis, pool.imap(_membership_worker, jis, chunksize=1)):
-                if w is None:
-                    failing = a
-                    pool.terminate()
-                    break
-                found.append(w)
-    else:
-        for a in jis:
-            w = chain_order(L, a)
+    # a single anchor is not worth a pool
+    with closing(ordered_map(chain_order, L, jis, workers if len(jis) > 1 else 1)) as ws:
+        for a, w in zip(jis, ws):
             if w is None:
                 failing = a
                 break

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 
-from .lattice import FinLattice, LatticeError
+from .lattice import FinLattice, LatticeError, _covers, _order_down, _transitive_close, bits
 
 
 class PosetError(ValueError):
@@ -26,26 +25,7 @@ class Poset:
             raise PosetError("label count does not match element count")
         if len(set(self.labels)) != self.n:
             raise PosetError("labels must be distinct")
-        down = [0] * self.n
-        for i in range(self.n):
-            if not (self.up[i] >> i) & 1:
-                raise PosetError("order is not reflexive")
-            m = self.up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                down[j] |= 1 << i
-        self.down = tuple(down)
-        if validate:
-            for i in range(self.n):
-                if self.up[i] & self.down[i] != 1 << i:
-                    raise PosetError("order is not antisymmetric")
-                m = self.up[i]
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if self.up[j] & ~self.up[i]:
-                        raise PosetError("order is not transitive")
+        self.down = _order_down(self.up, validate, PosetError)
 
     @classmethod
     def from_covers(cls, labels, cover_pairs) -> "Poset":
@@ -58,20 +38,7 @@ class Poset:
             if a not in index or b not in index:
                 raise PosetError(f"cover pair ({a},{b}) uses unknown label")
             up[index[a]] |= 1 << index[b]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = up[i]
-                m = acc
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
-        return cls(labels, tuple(up))
+        return cls(labels, tuple(_transitive_close(up, n)))
 
     @classmethod
     def chain(cls, n: int) -> "Poset":
@@ -87,17 +54,9 @@ class Poset:
         return bool((self.up[i] >> j) & 1)
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.n):
-            above = self.up[i] & ~(1 << i)
-            m = above
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                if not (above & self.down[j] & ~(1 << j)):
-                    out.append((i, j))
-        out.sort()
-        return out
+        """Pairs (i, j) with j covering i, ascending."""
+        return [(i, j) for i, above in enumerate(_covers(self.up, self.down))
+                for j in above]
 
     def dual(self) -> "Poset":
         return Poset(self.labels, self.down, validate=False)
@@ -125,12 +84,7 @@ class Poset:
         """Least order-convex superset; one pass suffices by transitivity."""
         iv = self._intervals
         acc = mask
-        members = []
-        m = mask
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            members.append(j)
+        members = list(bits(mask))
         for x in members:
             row = iv[x]
             for y in members:
@@ -190,7 +144,3 @@ def poset_from_json(data: dict) -> Poset:
     except (KeyError, TypeError, ValueError) as exc:
         raise PosetError(f"bad poset JSON: {exc}") from exc
     return Poset.from_covers(labels, covers)
-
-
-def poset_dumps(P: Poset) -> str:
-    return json.dumps(poset_to_json(P), sort_keys=True)

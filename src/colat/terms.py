@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .depend import is_minimal_in, is_minimal_pair_cover, minimal_pairs
 from .lattice import FinLattice
+from .pool import ordered_map
 
 
 class TermError(ValueError):
@@ -171,18 +172,29 @@ def identity_to_json(ident: Identity) -> dict:
 
 
 def identity_from_json(obj: dict) -> Identity:
+    """Read an identity object; "vars", "relation", "lhs" and "rhs" are required."""
+    if not isinstance(obj, dict):
+        raise TermError("identity JSON must be an object")
     name = obj.get("name", "")
-    if obj.get("lhs") in (None, "") or obj.get("rhs") in (None, ""):
+    lhs, rhs = obj.get("lhs"), obj.get("rhs")
+    if lhs in (None, "") or rhs in (None, ""):
         raise TermError(
             f"identity file {name!r} is an unfilled placeholder; "
             "transcribe its terms before use"
         )
+    if not (isinstance(lhs, str) and isinstance(rhs, str)):
+        raise TermError("identity 'lhs' and 'rhs' must be term strings")
+    variables = obj.get("vars")
+    if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)):
+        raise TermError("identity 'vars' must be a list of variable names")
+    if "relation" not in obj:
+        raise TermError("identity JSON lacks 'relation'")
     return Identity(
         name=name,
-        variables=tuple(obj["vars"]),
+        variables=tuple(variables),
         relation=obj["relation"],
-        lhs=parse_term(obj["lhs"]),
-        rhs=parse_term(obj["rhs"]),
+        lhs=parse_term(lhs),
+        rhs=parse_term(rhs),
     )
 
 
@@ -352,7 +364,6 @@ def _compile(ident: Identity):
     order = {name: i for i, name in enumerate(ident.variables)}
     index: dict[Term, int] = {}
     nodes: list[tuple] = []
-    support: list[frozenset[int]] = []
 
     def visit(t: Term) -> int:
         got = index.get(t)
@@ -360,19 +371,15 @@ def _compile(ident: Identity):
             return got
         if t.kind == "var":
             node = ("var", order[t.name])
-            sup = frozenset((order[t.name],))
         else:
-            kids = tuple(visit(c) for c in t.children)
-            node = (t.kind, kids)
-            sup = frozenset().union(*(support[k] for k in kids))
+            node = (t.kind, tuple(visit(c) for c in t.children))
         index[t] = len(nodes)
         nodes.append(node)
-        support.append(sup)
         return index[t]
 
     li = visit(ident.lhs)
     ri = visit(ident.rhs)
-    return nodes, support, li, ri
+    return nodes, li, ri
 
 
 @dataclass
@@ -380,7 +387,6 @@ class _Sweep:
     """Everything a chunk scan needs; one instance per check call."""
 
     nodes: list
-    support: list
     li: int
     ri: int
     n: int
@@ -396,7 +402,7 @@ class _Sweep:
         inner = self.n_vars - c
         full = (n,) * inner
         vals: list = []
-        for (kind, payload), sup in zip(self.nodes, self.support):
+        for kind, payload in self.nodes:
             if kind == "var":
                 vi = payload
                 if vi < c:
@@ -424,18 +430,6 @@ class _Sweep:
         return int(np.argmax(mask))
 
 
-_WORKER_SWEEP: _Sweep | None = None
-
-
-def _worker_init(sweep: _Sweep) -> None:
-    global _WORKER_SWEEP
-    _WORKER_SWEEP = sweep
-
-
-def _worker_scan(prefix: tuple[int, ...]):
-    return _WORKER_SWEEP.scan(prefix)
-
-
 def check(L: FinLattice, ident: Identity, workers: int = 1,
           one_sided: bool = False, force: bool = False) -> CheckResult:
     """Exhaustively check an identity on a finite lattice.
@@ -456,46 +450,32 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
     c = 0
     while n ** (v - c) > CHUNK_CELLS:
         c += 1
-    nodes, support, li, ri = _compile(ident)
-    _, join_flat, meet_flat = L.np_tables
+    nodes, li, ri = _compile(ident)
+    join_flat, meet_flat = L.np_tables
     sweep = _Sweep(
-        nodes, support, li, ri, n, c, v, join_flat, meet_flat,
+        nodes, li, ri, n, c, v, join_flat, meet_flat,
         want_eq=ident.relation == "eq" and not one_sided,
     )
     inner_shape = (n,) * (v - c)
-
-    def result(prefix, flat):
-        tail = np.unravel_index(flat, inner_shape) if inner_shape else ()
-        values = tuple(prefix) + tuple(int(t) for t in tail)
-        return CheckResult(ident.name, False, dict(zip(ident.variables, values)), total)
-
-    prefixes = itertools.product(range(n), repeat=c)
-    if workers <= 1 or c == 0:
-        for prefix in prefixes:
-            flat = sweep.scan(prefix)
+    # results come in prefix order, so the first hit is the least one; a
+    # single prefix (c == 0) is not worth a pool
+    flats = ordered_map(_Sweep.scan, sweep, itertools.product(range(n), repeat=c),
+                        workers if c else 1)
+    with closing(flats):
+        for prefix, flat in zip(itertools.product(range(n), repeat=c), flats):
             if flat is not None:
-                return result(prefix, flat)
-        return CheckResult(ident.name, True, None, total)
-
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_worker_init, initargs=(sweep,)) as pool:
-        # imap preserves chunk order, so the first hit is the least one
-        for prefix, flat in zip(itertools.product(range(n), repeat=c),
-                                pool.imap(_worker_scan, prefixes, chunksize=1)):
-            if flat is not None:
-                pool.terminate()
-                return result(prefix, flat)
+                tail = np.unravel_index(flat, inner_shape) if inner_shape else ()
+                values = prefix + tuple(int(t) for t in tail)
+                return CheckResult(ident.name, False,
+                                   dict(zip(ident.variables, values)), total)
     return CheckResult(ident.name, True, None, total)
 
 
 # -- semantic interpretations over the join-irreducibles ---------------------------
 
 
-SIGMA_VARIABLES = {
-    "E": ("x", "a", "b0", "b1", "b2"),
-    "P": ("a", "b", "c", "d", "b0", "b1"),
-    "HS": ("a", "b", "c", "b0", "b1"),
-}
+# a Sigma condition binds the variables of the builtin of the same name
+_SIGMA_VARIABLES = {name: builtin(name).variables for name in ("E", "P", "HS")}
 
 
 def check_sigma(L: FinLattice, which: str) -> CheckResult:
@@ -505,9 +485,9 @@ def check_sigma(L: FinLattice, which: str) -> CheckResult:
     come from the join-dependency machinery, and the first failing tuple
     in that order is returned.
     """
-    if which not in SIGMA_VARIABLES:
+    if which not in _SIGMA_VARIABLES:
         raise TermError(f"no semantic interpretation for {which!r}")
-    names = SIGMA_VARIABLES[which]
+    names = _SIGMA_VARIABLES[which]
     jis = L.join_irreducibles
     total = len(jis) ** len(names)
     scan = {"E": _sigma_e, "P": _sigma_p, "HS": _sigma_hs}[which]

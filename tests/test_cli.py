@@ -113,6 +113,26 @@ class TestCheck:
         assert rc == 2
         assert "placeholder" in err
 
+    @pytest.mark.parametrize("data,message", [
+        (["x"], "must be an object"),
+        ({"name": "X", "relation": "eq", "lhs": "x", "rhs": "x"}, "'vars'"),
+        ({"name": "X", "vars": "x", "relation": "eq", "lhs": "x", "rhs": "x"},
+         "'vars'"),
+        ({"name": "X", "vars": [1], "relation": "eq", "lhs": "x", "rhs": "x"},
+         "'vars'"),
+        ({"name": "X", "vars": ["x"], "lhs": "x", "rhs": "x"}, "'relation'"),
+        ({"name": "X", "vars": ["x"], "relation": "eq", "lhs": 5, "rhs": "x"},
+         "term strings"),
+    ])
+    def test_malformed_identity_file(self, co3, tmp_path, capsys, data, message):
+        path = tmp_path / "ident.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "check", "--identity", str(path), co3)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+
     def test_guard_refuses_large_sweep(self, tmp_path, capsys):
         rc, out, _ = run(capsys, "co", "10")
         big = tmp_path / "co10.json"
@@ -292,6 +312,16 @@ class TestRetract:
         rc, _, err = run(capsys, "retract", lat, "--pi", str(pi),
                          "--target", "co:3")
         assert rc == 2
+
+    def test_pi_not_an_object(self, product, tmp_path, capsys):
+        lat, _ = product
+        pi = tmp_path / "list.json"
+        pi.write_text(json.dumps([0, 1]))
+        rc, out, err = run(capsys, "retract", lat, "--pi", str(pi),
+                           "--target", "co:3")
+        assert rc == 2
+        assert out == ""
+        assert err == "error: pi JSON needs a 'values' list mapping every element\n"
 
     def test_not_surjective(self, product, tmp_path, capsys):
         lat, _ = product

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from colat.lattice import FinLattice, LatticeError, iter_lattices
 from colat.poset import Poset, PosetError, poset_from_json, poset_to_json
 
 
@@ -142,3 +143,42 @@ def _min_bit(m: int) -> int:
 
 def _max_bit(m: int) -> int:
     return m.bit_length() - 1
+
+
+# -- the order validation shared by Poset and FinLattice --------------------------
+
+
+def _build_poset(up, validate=True):
+    return Poset(tuple(str(i) for i in range(len(up))), up, validate=validate)
+
+
+def _build_lattice(up, validate=True):
+    return FinLattice(up, validate=validate)
+
+
+ORDER_CLASSES = [(_build_poset, PosetError), (_build_lattice, LatticeError)]
+
+
+@pytest.mark.parametrize("build,error", ORDER_CLASSES)
+@pytest.mark.parametrize("up,message", [
+    ((0b10, 0b10), "order is not reflexive"),
+    ((0b11, 0b11), "order is not antisymmetric"),
+    ((0b011, 0b110, 0b100), "order is not transitive"),
+])
+def test_order_validation_raises_own_error(build, error, up, message):
+    with pytest.raises(error) as info:
+        build(up)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build,error", ORDER_CLASSES)
+def test_reflexivity_checked_without_validation(build, error):
+    with pytest.raises(error, match="order is not reflexive"):
+        build((0b01, 0b00), validate=False)
+
+
+def test_cover_pairs_match_upper_covers():
+    for L in iter_lattices(6):
+        P = Poset(L.labels, L.up)
+        assert P.cover_pairs() == [(i, j) for i in range(L.n) for j in L.upper_covers[i]]
