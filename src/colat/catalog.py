@@ -18,6 +18,7 @@ from .lattice import (
     FinLattice,
     LatticeError,
     LatticeMap,
+    _restrict,
     embedding_search,
     find_isomorphism,
     monolith,
@@ -38,16 +39,31 @@ def _lmn_parts(m: int, n: int) -> tuple[FinLattice, list[int]]:
         raise ValueError("both side lengths must be at least 1")
     full, masks = Poset.chain(m + n + 1).co_lattice()
     keep = [i for i, s in enumerate(masks) if not (s >> m) & 1 or (s >> (m - 1)) & 1]
-    pos = {e: i for i, e in enumerate(keep)}
-    up = []
-    for e in keep:
-        bits = 0
-        for f in keep:
-            if full.leq(e, f):
-                bits |= 1 << pos[f]
-        up.append(bits)
     labels = tuple(full.label_of(e) for e in keep)
-    return FinLattice(tuple(up), labels), [masks[e] for e in keep]
+    return FinLattice(_restrict(full.up, keep), labels), [masks[e] for e in keep]
+
+
+def _catalog_target(tag: str, params) -> tuple[FinLattice, tuple[int, ...]]:
+    """The catalog lattice of an SIClass tag and params, with its generators.
+
+    The generator at chain position i is the singleton {i}, except that
+    position m of L(m,n) holds c_m = {m-1, m}.
+    """
+    if tag == "co_chain":
+        (n,) = params
+        if n < 1:
+            raise ValueError("chain length must be positive")
+        T, masks = Poset.chain(n).co_lattice()
+        gens = [1 << i for i in range(n)]
+    elif tag == "lmn":
+        m, n = params
+        T, masks = _lmn_parts(m, n)
+        gens = [1 << i for i in range(m + n + 1)]
+        gens[m] |= 1 << (m - 1)
+    else:
+        raise ValueError(f"unknown target kind {tag!r}")
+    at = {s: e for e, s in enumerate(masks)}
+    return T, tuple(at[s] for s in gens)
 
 
 def l_mn(m: int, n: int) -> FinLattice:
@@ -62,18 +78,9 @@ def canonical_bitrack(m: int, n: int) -> WeakBiTrack:
     c_m, {m+1}, ..., {m+n} with side {0}.  Element ids refer to
     l_mn(m, n); the result is validated before being returned.
     """
-    L, masks = _lmn_parts(m, n)
-    at = {s: i for i, s in enumerate(masks)}
-    cm = at[(1 << (m - 1)) | (1 << m)]
-    first = WeakTrack(
-        entries=(cm,) + tuple(at[1 << i] for i in range(m - 1, -1, -1)),
-        side=at[1 << (m + n)],
-    )
-    second = WeakTrack(
-        entries=(cm,) + tuple(at[1 << i] for i in range(m + 1, m + n + 1)),
-        side=at[1 << 0],
-    )
-    track = WeakBiTrack(first, second)
+    L, gens = _catalog_target("lmn", (m, n))
+    track = WeakBiTrack(WeakTrack(gens[m::-1], side=gens[m + n]),
+                        WeakTrack(gens[m:], side=gens[0]))
     if not is_weak_bitrack(L, track):
         raise LatticeError(f"canonical bi-track of l_mn({m}, {n}) failed validation")
     return track

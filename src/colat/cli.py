@@ -246,11 +246,7 @@ def _cmd_embed(ns) -> int:
 def _cmd_verify_cert(ns) -> int:
     inputs = _Inputs()
     L = inputs.lattice(ns.lattice)
-    data = inputs.json(ns.certificate)
-    try:
-        cert = certificate_from_json(L, data)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed certificate: {exc}") from exc
+    cert = certificate_from_json(L, inputs.json(ns.certificate))
     ok = verify_certificate(L, cert)
     payload = {"command": "verify-cert", "inputs": inputs.digests, "valid": ok}
     _emit(ns, payload, ["certificate verifies" if ok else "certificate INVALID"])
@@ -495,13 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("co", help="convex-set lattice of a poset (or an "
                                    "integer for a chain)")
     s.add_argument("input", help="poset JSON path, '-', or a chain length")
-    _add_common(s)
     s.set_defaults(func=_cmd_co)
 
     s = subs.add_parser("catalog", help="emit a catalog lattice")
     s.add_argument("family", choices=["co", "lmn"])
     s.add_argument("params", type=int, nargs="+")
-    _add_common(s)
     s.set_defaults(func=_cmd_catalog)
 
     s = subs.add_parser("check", help="exhaustively check an identity")
@@ -581,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("dot", help="Hasse diagram as DOT text")
     s.add_argument("input", help="poset or lattice JSON path or '-'")
-    _add_common(s)
     s.set_defaults(func=_cmd_dot)
 
     return parser

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .lattice import FinLattice, LatticeError, LatticeMap, bits
+from .lattice import FinLattice, LatticeError, LatticeMap, _ji_extension, bits
 
 
 def min_covers(L: FinLattice, p: int) -> list[tuple[int, ...]]:
@@ -283,24 +283,14 @@ def track_embedding(L: FinLattice, t: WeakBiTrack) -> LatticeMap:
 
     Raises LatticeError when the induced map is not an injective homomorphism.
     """
-    from .poset import Poset
+    from .catalog import _catalog_target  # catalog imports this module
 
     m, n = t.index
     xs, ys = t.first.entries, t.second.entries
-    img = {}
-    for i in range(m):
-        img[i] = xs[m - i]
-    for i in range(m, m + n):
-        img[i] = ys[i - m + 1]
-    K, sets = Poset.chain(m + n).co_lattice()
-    u = L.meet_table[img[0]][img[1]]
-    values = []
-    for s in sets:
-        if s == 0:
-            values.append(u)
-        else:
-            values.append(L.join_of(img[i] for i in range(m + n) if (s >> i) & 1))
-    cand = LatticeMap(K, L, tuple(values))
+    # chain position i < m takes xs[m - i], position i >= m takes ys[i - m + 1]
+    img = xs[m:0:-1] + ys[1:]
+    K, gens = _catalog_target("co_chain", (m + n,))
+    cand = _ji_extension(K, L, L.meet_table[img[0]][img[1]], dict(zip(gens, img)))
     if not cand.injective or not cand.preserves_ops():
         raise LatticeError("track does not induce an embedding")
     return cand

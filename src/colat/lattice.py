@@ -83,6 +83,18 @@ def _covers(below, above) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _restrict(up, keep) -> tuple[int, ...]:
+    """Up-sets of the order induced on keep, with keep[i] renumbered to i."""
+    out = []
+    for e in keep:
+        mask = 0
+        for i, f in enumerate(keep):
+            if (up[e] >> f) & 1:
+                mask |= 1 << i
+        out.append(mask)
+    return tuple(out)
+
+
 def _extreme_of(mask: int, rel) -> int:
     """The member j of mask with all of mask in rel[j], or -1.
 
@@ -443,16 +455,41 @@ def direct_product(L1: FinLattice, L2: FinLattice) -> FinLattice:
 # -- map searches ------------------------------------------------------------
 
 
-def _derived_hom(K: FinLattice, target: FinLattice, bot_img: int,
-                 ji_imgs: dict[int, int]) -> tuple[int, ...]:
-    out = []
+def _ji_extension(K: FinLattice, L: FinLattice, base: int,
+                  images: dict[int, int]) -> LatticeMap:
+    """The map sending x to the join of images[j] over the j <= x in images,
+    or to base when there is no such j."""
+    values = []
     for x in range(K.n):
-        v = bot_img
-        for j in bits(K.down[x]):
-            if j in ji_imgs:
-                v = target.join_table[v][ji_imgs[j]]
-        out.append(v)
-    return tuple(out)
+        below = [images[j] for j in bits(K.down[x]) if j in images]
+        values.append(L.join_of(below) if below else base)
+    return LatticeMap(K, L, tuple(values))
+
+
+def _order_embeddings(K: FinLattice, L: FinLattice, src, candidates):
+    """Iterate image tuples for the elements src of K with src[i] <= src[k] iff
+    image i <= image k, lexicographic in the order of each candidates[i].
+
+    Reflecting the order also rules out a repeated image: equal images are
+    below each other, two distinct elements of K are not.
+    """
+    imgs = [-1] * len(src)
+
+    def extend(i: int):
+        if i == len(src):
+            yield tuple(imgs)
+            return
+        x = src[i]
+        for v in candidates[i]:
+            for k in range(i):
+                if K.leq(src[k], x) != L.leq(imgs[k], v) or \
+                        K.leq(x, src[k]) != L.leq(v, imgs[k]):
+                    break
+            else:
+                imgs[i] = v
+                yield from extend(i + 1)
+
+    yield from extend(0)
 
 
 def embedding_search(K: FinLattice, L: FinLattice) -> LatticeMap | None:
@@ -463,33 +500,13 @@ def embedding_search(K: FinLattice, L: FinLattice) -> LatticeMap | None:
     """
     if K.n > L.n:
         return None
-    jis = list(K.join_irreducibles)
-    holder: list[LatticeMap | None] = [None]
-
-    def extend(idx: int, bot_img: int, imgs: dict[int, int]) -> bool:
-        if idx == len(jis):
-            values = _derived_hom(K, L, bot_img, imgs)
-            cand = LatticeMap(K, L, values)
-            if cand.injective and cand.preserves_ops():
-                holder[0] = cand
-                return True
-            return False
-        j = jis[idx]
-        for v in range(L.n):
-            if not L.leq(bot_img, v) or v == bot_img:
-                continue
-            ok = True
-            for j2, v2 in imgs.items():
-                if K.leq(j2, j) != L.leq(v2, v) or K.leq(j, j2) != L.leq(v, v2):
-                    ok = False
-                    break
-            if ok and extend(idx + 1, bot_img, {**imgs, j: v}):
-                return True
-        return False
-
+    jis = K.join_irreducibles
     for b in range(L.n):
-        if extend(0, b, {}):
-            return holder[0]
+        above = list(bits(L.up[b] & ~(1 << b)))
+        for imgs in _order_embeddings(K, L, jis, [above] * len(jis)):
+            cand = _ji_extension(K, L, b, dict(zip(jis, imgs)))
+            if cand.injective and cand.preserves_ops():
+                return cand
     return None
 
 
@@ -546,30 +563,8 @@ def isomorphisms(K: FinLattice, L: FinLattice):
     if sorted(pk) != sorted(pl):
         return
     candidates = [[j for j in range(L.n) if pl[j] == pk[i]] for i in range(K.n)]
-    used = [False] * L.n
-    assign = [-1] * K.n
-
-    def extend(i: int):
-        if i == K.n:
-            yield LatticeMap(K, L, tuple(assign))
-            return
-        for v in candidates[i]:
-            if used[v]:
-                continue
-            ok = True
-            for i2 in range(i):
-                if K.leq(i2, i) != L.leq(assign[i2], v) or \
-                        K.leq(i, i2) != L.leq(v, assign[i2]):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = v
-                used[v] = True
-                yield from extend(i + 1)
-                used[v] = False
-                assign[i] = -1
-
-    yield from extend(0)
+    for values in _order_embeddings(K, L, range(K.n), candidates):
+        yield LatticeMap(K, L, values)
 
 
 def find_isomorphism(K: FinLattice, L: FinLattice) -> LatticeMap | None:

@@ -334,15 +334,37 @@ def certificate_to_json(L: FinLattice, cert: EmbeddingCertificate) -> list[dict]
 
 
 def certificate_from_json(L: FinLattice, data: list[dict]) -> EmbeddingCertificate:
+    """Read a certificate in the format of certificate_to_json.
+
+    Raises ValueError("malformed certificate: ...") when data has another
+    shape or names an element that L lacks.
+    """
     index = {L.label_of(i): i for i in range(L.n)}
+
+    def bad(why: str) -> ValueError:
+        return ValueError(f"malformed certificate: {why}")
+
+    def element(lbl) -> int:
+        if not isinstance(lbl, str) or lbl not in index:
+            raise bad(f"unknown element {lbl!r}")
+        return index[lbl]
+
+    if not isinstance(data, list):
+        raise bad("expected a list of entries")
     witnesses = []
     maps = []
     for item in data:
-        anchor = index[item["anchor"]]
-        chain = tuple(index[lbl] for lbl in item["chain"])
+        if not isinstance(item, dict) or not {"anchor", "chain", "map"} <= item.keys():
+            raise bad("each entry needs anchor, chain and map")
+        if not isinstance(item["chain"], list) or not isinstance(item["map"], dict):
+            raise bad("chain must be a list and map an object")
+        anchor = element(item["anchor"])
+        chain = tuple(element(lbl) for lbl in item["chain"])
         phi = [()] * L.n
         for lbl, pos in item["map"].items():
-            phi[index[lbl]] = tuple(pos)
+            if not (isinstance(pos, list) and all(isinstance(p, int) for p in pos)):
+                raise bad(f"map of {lbl!r} is not a list of positions")
+            phi[element(lbl)] = tuple(pos)
         witnesses.append(ChainOrderWitness(anchor, chain))
         maps.append(tuple(phi))
     return EmbeddingCertificate(tuple(witnesses), tuple(maps))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .lattice import FinLattice, LatticeError, _covers, _order_down, _transitive_close, bits
+from .lattice import (FinLattice, LatticeError, _covers, _order_down, _restrict,
+                      _transitive_close, bits)
 
 
 class PosetError(ValueError):
@@ -63,15 +64,8 @@ class Poset:
 
     def restrict(self, keep: list[int]) -> "Poset":
         """Induced subposet on the given elements, in the given order."""
-        pos = {e: i for i, e in enumerate(keep)}
-        up = []
-        for e in keep:
-            mask = 0
-            for f in keep:
-                if self.leq(e, f):
-                    mask |= 1 << pos[f]
-            up.append(mask)
-        return Poset(tuple(self.labels[e] for e in keep), tuple(up), validate=False)
+        return Poset(tuple(self.labels[e] for e in keep), _restrict(self.up, keep),
+                     validate=False)
 
     @cached_property
     def _intervals(self) -> tuple[tuple[int, ...], ...]:

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .catalog import _lmn_parts
-from .lattice import FinLattice, LatticeError, LatticeMap
-from .poset import Poset
+from .catalog import _catalog_target
+from .lattice import FinLattice, LatticeError, LatticeMap, _ji_extension
 
 __all__ = [
     "LambdaConfig",
@@ -92,20 +91,15 @@ def lambda_holds(L: FinLattice, config: LambdaConfig) -> bool:
     for i, j in pairs:
         if L.meet(gens[i], gens[j]) != config.base:
             return False
+    return _covered(L, gens)
+
+
+def _covered(L: FinLattice, gens) -> bool:
+    """Each generator lies below the join of any earlier and any later one."""
     count = len(gens)
-    for i in range(count):
-        for k in range(i + 1, count):
-            for j in range(k + 1, count):
-                if not L.leq(gens[k], L.join(gens[i], gens[j])):
-                    return False
-    return True
-
-
-def _config_source(config: LambdaConfig) -> tuple[FinLattice, tuple[int, ...]]:
-    if config.kind == "plain":
-        return Poset.chain(config.shape[0]).co_lattice()
-    m, n = config.shape
-    return _lmn_parts(m, n)
+    return all(L.leq(gens[k], L.join(gens[i], gens[j]))
+               for i in range(count) for k in range(i + 1, count)
+               for j in range(k + 1, count))
 
 
 def hom_from_lambda(L: FinLattice, config: LambdaConfig) -> LatticeMap:
@@ -119,43 +113,15 @@ def hom_from_lambda(L: FinLattice, config: LambdaConfig) -> LatticeMap:
     """
     if not lambda_holds(L, config):
         raise LatticeError("generators do not satisfy the joint cover conditions")
-    source, masks = _config_source(config)
-    gens = config.generators
-    values = []
-    for s in masks:
-        if s == 0:
-            values.append(config.base)
-            continue
-        acc = None
-        pos = 0
-        while s:
-            if s & 1:
-                g = gens[pos]
-                acc = g if acc is None else L.join(acc, g)
-            s >>= 1
-            pos += 1
-        values.append(acc)
-    phi = LatticeMap(source, L, tuple(values))
+    tag = "co_chain" if config.kind == "plain" else "lmn"
+    source, gen_elems = _catalog_target(tag, config.shape)
+    phi = _ji_extension(source, L, config.base, dict(zip(gen_elems, config.generators)))
     if not phi.preserves_ops():
         raise LatticeError(
             "generator assignment does not extend to a homomorphism; "
             "the codomain is outside the class"
         )
     return phi
-
-
-def _resolve_target(target) -> tuple[FinLattice, tuple[int, ...], str, tuple[int, ...]]:
-    if target[0] == "co_chain":
-        n = target[1]
-        if n < 1:
-            raise ValueError("chain length must be positive")
-        T, masks = Poset.chain(n).co_lattice()
-        return T, masks, "plain", (n,)
-    if target[0] == "lmn":
-        m, n = target[1], target[2]
-        T, masks = _lmn_parts(m, n)
-        return T, masks, "split", (m, n)
-    raise ValueError(f"unknown target kind {target[0]!r}")
 
 
 def retract_section(Lp: FinLattice, pi: LatticeMap, target) -> LatticeMap:
@@ -167,7 +133,8 @@ def retract_section(Lp: FinLattice, pi: LatticeMap, target) -> LatticeMap:
     lattice into Lp.  The correction loop is bounded by |Lp| rounds;
     exceeding the bound raises with the last tuple in the message.
     """
-    T, masks, kind, shape = _resolve_target(target)
+    tag, shape = target[0], tuple(target[1:])
+    T, gen_elems = _catalog_target(tag, shape)
     if pi.source.up != Lp.up:
         raise LatticeError("pi is not a map out of the given lattice")
     if pi.target.up != T.up or pi.target.labels != T.labels:
@@ -185,29 +152,18 @@ def retract_section(Lp: FinLattice, pi: LatticeMap, target) -> LatticeMap:
     for t, members in enumerate(classes):
         beta[t] = Lp.meet_of(members)
 
-    at = {s: e for e, s in enumerate(masks)}
-    if kind == "plain":
-        n = shape[0]
-        gen_elems = [at[1 << i] for i in range(n)]
-        pairs = list(combinations(range(n), 2))
+    count = len(gen_elems)
+    if tag == "co_chain":
+        pairs = list(combinations(range(count), 2))
     else:
-        m, n = shape
-        doubleton = (1 << (m - 1)) | (1 << m)
-        gen_elems = [at[doubleton if i == m else 1 << i] for i in range(m + n + 1)]
-        pairs = list(_split_pairs(m + n + 1, m))
+        pairs = list(_split_pairs(count, shape[0]))
 
     a = [beta[g] for g in gen_elems]
-    count = len(a)
     rounds = 0
     while True:
-        for i in range(count):
-            for k in range(i + 1, count):
-                for j in range(k + 1, count):
-                    if not Lp.leq(a[k], Lp.join(a[i], a[j])):
-                        raise LatticeError(
-                            f"cover inequality broke in round {rounds}: {a}"
-                        )
-        if kind == "split" and not Lp.leq(a[shape[0] - 1], a[shape[0]]):
+        if not _covered(Lp, a):
+            raise LatticeError(f"cover inequality broke in round {rounds}: {a}")
+        if tag == "lmn" and not Lp.leq(a[shape[0] - 1], a[shape[0]]):
             raise LatticeError(f"side inclusion broke in round {rounds}: {a}")
         b = Lp.join_of(Lp.meet(a[i], a[j]) for i, j in pairs)
         updated = [Lp.join(ai, b) for ai in a]
@@ -220,10 +176,10 @@ def retract_section(Lp: FinLattice, pi: LatticeMap, target) -> LatticeMap:
                 f"no stable tuple within {Lp.n} rounds; last tuple {a}"
             )
 
-    if kind == "plain" and count == 1:
+    if tag == "co_chain" and count == 1:
         base = beta[T.bottom]
         config = LambdaConfig("plain", shape, tuple(a), base)
-    elif kind == "plain":
+    elif tag == "co_chain":
         config = plain_config(Lp, a)
     else:
         config = split_config(Lp, shape[0], shape[1], a)

@@ -82,6 +82,14 @@ class TestCoAndCatalog:
         assert out.strip() == "Lmn(1,2)"
 
 
+    @pytest.mark.parametrize("argv", [["co", "3"], ["catalog", "co", "3"]])
+    def test_json_flag_not_accepted(self, capsys, argv):
+        # these commands print lattice JSON already and take no report flags
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--json"])
+        assert exc.value.code == 2
+
+
 class TestCheck:
     def test_holds(self, co3, capsys):
         rc, out, _ = run(capsys, "check", "--identity", "E", co3)
@@ -243,6 +251,20 @@ class TestEmbedAndCert:
         path.write_text(json.dumps([{"anchor": "a"}]))
         rc, _, err = run(capsys, "verify-cert", pent, str(path))
         assert rc == 2
+
+    @pytest.mark.parametrize("data", [
+        [{"anchor": "{0}", "chain": ["{0}"], "map": []}],
+        [{"anchor": "{0}", "chain": ["{0}"], "map": {"{0}": 5}}],
+        [5],
+        {"a": 1},
+    ])
+    def test_verify_cert_bad_shape(self, co3, tmp_path, capsys, data):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "verify-cert", co3, str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: malformed certificate: ") and err.count("\n") == 1
 
 
 class TestClassify:

@@ -1,6 +1,7 @@
 """Source-level guards that keep each merged idiom in one place."""
 
 import pathlib
+import re
 
 import pytest
 
@@ -22,3 +23,23 @@ def test_worker_pool_only_in_pool_module(path):
     in_pool = path.name == "pool.py"
     assert ("import multiprocessing" in text or "from multiprocessing" in text) == in_pool
     assert ("global " in text) == in_pool
+
+
+def test_one_backtracker_in_lattice():
+    # _order_embeddings holds the only backtracking extend of lattice.py
+    text = (SOURCES[0].parent / "lattice.py").read_text()
+    assert text.count("def extend") == 1
+
+
+@pytest.mark.parametrize("name", ["_derived_hom", "_config_source", "_resolve_target"])
+def test_merged_map_builders_gone(name):
+    # replaced by _ji_extension and catalog._catalog_target
+    assert not [p.name for p in SOURCES if name in p.read_text()]
+
+
+def test_oracles_use_no_private_lattice_names():
+    # the reference implementations must not run on the code they check
+    oracles = pathlib.Path(__file__).with_name("oracles.py").read_text()
+    imports = re.findall(r"from colat\.lattice import ([^\n]+)", oracles)
+    names = [n.strip() for line in imports for n in line.split(",")]
+    assert names and not [n for n in names if n.startswith("_")]
