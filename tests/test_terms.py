@@ -4,11 +4,13 @@ The naive pure-python sweep is the reference; the vectorized checker must
 match it bit for bit, including which counter-assignment gets reported.
 """
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
-from colat.lattice import lattice_from_json, lattices_of_size, structural_predicates
+from colat.lattice import iter_lattices, lattice_from_json, lattices_of_size, structural_predicates
 from colat.poset import Poset
 from colat.terms import (
     CheckResult,
@@ -248,6 +250,29 @@ def test_one_sided_matches_naive_on_small_corpus():
             ref = naive_check(L, builtin(name))
             got = check(L, builtin(name), one_sided=True)
             assert (got.holds, got.witness) == (ref.holds, ref.witness)
+
+
+# sha256 of the compact JSON of (holds, witness, assignments) for every builtin
+# on every lattice of size <= 6, with one_sided=True as well for the equalities;
+# 225 checks, 16 failing; recorded once from naive_check, which takes about
+# 70 s over this corpus, so the test runs only check
+PINNED_CHECKS = "e2425aa6bfef27dff09395fa5721266771e50f620d874670711291790b5d3f7f"
+
+
+def pinned_check_records(checker):
+    for L in iter_lattices(6):
+        for name in builtin_names():
+            ident = builtin(name)
+            sides = (False, True) if ident.relation == "eq" else (False,)
+            for one_sided in sides:
+                r = checker(L, ident, one_sided=one_sided)
+                yield [r.holds, r.witness, r.assignments]
+
+
+def test_check_pinned_up_to_size_6():
+    records = list(pinned_check_records(check))
+    text = json.dumps(records, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CHECKS
 
 
 def test_assignment_guard():
