@@ -3,9 +3,20 @@
 Terms are immutable trees of n-ary joins and meets over named variables.
 An identity relates two terms by equality or one-sided inclusion and is
 checked against a finite lattice by sweeping every assignment of elements
-to variables.  The sweep runs on numpy arrays, chunked over a prefix of
-the declared variable order, so the first reported counter-assignment is
-always the lexicographically least one regardless of worker count.
+to variables.  The sweep is chunked over a prefix of the declared
+variable order, so the first reported counter-assignment is always the
+lexicographically least one regardless of worker count.
+
+Within a chunk the inner variables are broadcast numpy axes.  The two
+compared terms share one node list; a node that reads only prefix
+variables is a Python int, folded through the lattice's row tables, and
+the others are arrays looked up in flat join and meet tables (uint16
+when n <= 256).  Each array node is made in the form its consumers
+take: premultiplied by n as the left operand of a lookup, so a binary
+operation is one add and one take, or plain; a prefix scalar operand
+selects a table row instead.  An array node is recomputed only when the
+prefix values it reads change, so nodes that read no prefix variable
+are computed once per check.
 """
 
 from __future__ import annotations
@@ -359,75 +370,124 @@ def naive_check(L: FinLattice, ident: Identity, one_sided: bool = False) -> Chec
     return CheckResult(ident.name, True, None, L.n ** len(names))
 
 
-def _compile(ident: Identity):
-    """CSE the two term trees into one topologically sorted node list."""
+def _compile(ident: Identity, n_prefix: int, want_eq: bool):
+    """CSE the compared terms into one topologically sorted node list.
+
+    A node is (kind, vi, scalars, arrays, keyvars, plain, pre).  A
+    variable node carries its index vi.  An operation splits its children
+    into scalars, which read prefix variables only and fold to one int,
+    and arrays, ordered by how many inner variables they read so that
+    the accumulator widens last.  keyvars lists the prefix variables an
+    array node reads, and is None for a scalar.  plain and pre say which
+    forms of an array node its consumers take: plain values, or values
+    premultiplied by n as the left operand of a table lookup.  The sweep
+    compares the plain values of the two indices returned with the list:
+    lhs and rhs for "eq", lhs v rhs and rhs for "leq".
+    """
     order = {name: i for i, name in enumerate(ident.variables)}
     index: dict[Term, int] = {}
     nodes: list[tuple] = []
+    supports: list[frozenset[int]] = []
+    ranks: list[int] = []                 # inner variables each node reads
 
     def visit(t: Term) -> int:
         got = index.get(t)
         if got is not None:
             return got
         if t.kind == "var":
-            node = ("var", order[t.name])
+            node = ("var", order[t.name], (), ())
+            support = frozenset((order[t.name],))
         else:
-            node = (t.kind, tuple(visit(c) for c in t.children))
+            kids = [visit(c) for c in t.children]
+            arrays = sorted((k for k in kids if ranks[k]), key=ranks.__getitem__)
+            node = (t.kind, None, tuple(k for k in kids if not ranks[k]), tuple(arrays))
+            support = frozenset().union(*(supports[k] for k in kids))
         index[t] = len(nodes)
         nodes.append(node)
+        supports.append(support)
+        ranks.append(sum(i >= n_prefix for i in support))
         return index[t]
 
-    li = visit(ident.lhs)
-    ri = visit(ident.rhs)
-    return nodes, li, ri
+    rhs = visit(ident.rhs)
+    lhs = visit(ident.lhs if want_eq else join(ident.lhs, ident.rhs))
+    plain, pre = {lhs, rhs}, set()
+    for _, _, scalars, arrays in nodes:
+        if arrays and not scalars:
+            pre.add(arrays[0])
+            plain.update(arrays[1:])
+        else:
+            # the first array is read through the row of the folded scalars
+            plain.update(arrays)
+    return [
+        (*node, tuple(sorted(i for i in supports[k] if i < n_prefix)) if ranks[k] else None,
+         k in plain, k in pre)
+        for k, node in enumerate(nodes)
+    ], lhs, rhs
 
 
 @dataclass
 class _Sweep:
-    """Everything a chunk scan needs; one instance per check call."""
+    """Everything a chunk scan needs; one instance per check call.
+
+    values holds each node's value for the last prefix scanned: an int
+    for a scalar, else a (plain, premultiplied) pair of arrays with None
+    for a form no consumer takes.  keys holds the prefix values each
+    array node was computed for; a node is recomputed only when they
+    change, so a node that reads no prefix variable is computed once per
+    call.  The cache is keyed by value, so a worker that scans prefixes
+    out of order still reads the right arrays.  Cached arrays are never
+    written to.
+    """
 
     nodes: list
-    li: int
-    ri: int
+    lhs: int
+    rhs: int
     n: int
     n_prefix: int
     n_vars: int
-    join_flat: np.ndarray
-    meet_flat: np.ndarray
-    want_eq: bool
+    tables: dict
+    values: list
+    keys: list
 
     def scan(self, prefix: tuple[int, ...]):
         """First violating inner index in C order, or None."""
-        n, c = self.n, self.n_prefix
-        inner = self.n_vars - c
-        full = (n,) * inner
-        vals: list = []
-        for kind, payload in self.nodes:
+        n, values, keys = self.n, self.values, self.keys
+        for k, (kind, vi, scalars, arrays, keyvars, want_plain, want_pre) in enumerate(self.nodes):
             if kind == "var":
-                vi = payload
-                if vi < c:
-                    arr = np.int32(prefix[vi])
-                else:
-                    shape = [1] * inner
-                    shape[vi - c] = n
-                    arr = np.arange(n, dtype=np.int32).reshape(shape)
+                if keyvars is None:
+                    values[k] = prefix[vi]
+                continue
+            if keyvars is not None:
+                key = tuple(map(prefix.__getitem__, keyvars))
+                if keys[k] == key:
+                    continue
+                keys[k] = key
+            rows, flat, flat_pre = self.tables[kind]
+            if scalars:
+                s = values[scalars[0]]
+                for j in scalars[1:]:
+                    s = rows[s][values[j]]
+                if not arrays:
+                    values[k] = s
+                    continue
+                table, table_pre = flat[s * n:(s + 1) * n], flat_pre[s * n:(s + 1) * n]
+                idx, rest = values[arrays[0]][0], arrays[1:]
             else:
-                table = self.join_flat if kind == "join" else self.meet_flat
-                arr = vals[payload[0]]
-                for k in payload[1:]:
-                    arr = table.take(arr * n + vals[k])
-            vals.append(arr)
-        lv, rv = vals[self.li], vals[self.ri]
-        if self.want_eq:
-            mask = lv != rv
-        else:
-            mask = self.meet_flat.take(lv * n + rv) != lv
+                table, table_pre = flat, flat_pre
+                idx, rest = values[arrays[0]][1] + values[arrays[1]][0], arrays[2:]
+            for j in rest:
+                idx = table_pre.take(idx) + values[j][0]
+                table, table_pre = flat, flat_pre
+            values[k] = (table.take(idx) if want_plain else None,
+                         table_pre.take(idx) if want_pre else None)
+        lv, rv = values[self.lhs], values[self.rhs]
+        mask = np.not_equal(lv[0] if type(lv) is tuple else lv, rv[0] if type(rv) is tuple else rv)
+        inner = self.n_vars - self.n_prefix
         if inner == 0:
             return 0 if mask else None
-        mask = np.broadcast_to(mask, full)
         if not mask.any():
             return None
-        return int(np.argmax(mask))
+        return int(np.argmax(np.broadcast_to(mask, (n,) * inner)))
 
 
 def check(L: FinLattice, ident: Identity, workers: int = 1,
@@ -450,12 +510,22 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
     c = 0
     while n ** (v - c) > CHUNK_CELLS:
         c += 1
-    nodes, li, ri = _compile(ident)
-    join_flat, meet_flat = L.np_tables
-    sweep = _Sweep(
-        nodes, li, ri, n, c, v, join_flat, meet_flat,
-        want_eq=ident.relation == "eq" and not one_sided,
-    )
+    want_eq = ident.relation == "eq" and not one_sided
+    nodes, lhs, rhs = _compile(ident, c, want_eq)
+    # n <= 256 keeps every table index i * n + j below 2**16
+    dtype = np.uint16 if n <= 256 else np.int32
+    tables = {}
+    for kind, rows, flat in zip(("join", "meet"), (L.join_table, L.meet_table), L.np_tables):
+        flat = flat.astype(dtype)
+        tables[kind] = (rows, flat, flat * n)
+    values: list = [None] * len(nodes)
+    for k, (kind, vi, _, _, keyvars, _, _) in enumerate(nodes):
+        if kind == "var" and keyvars is not None:
+            shape = [1] * (v - c)
+            shape[vi - c] = n
+            plain = np.arange(n, dtype=dtype).reshape(shape)
+            values[k] = (plain, plain * n)
+    sweep = _Sweep(nodes, lhs, rhs, n, c, v, tables, values, [None] * len(nodes))
     inner_shape = (n,) * (v - c)
     # results come in prefix order, so the first hit is the least one; a
     # single prefix (c == 0) is not worth a pool
@@ -465,9 +535,9 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
         for prefix, flat in zip(itertools.product(range(n), repeat=c), flats):
             if flat is not None:
                 tail = np.unravel_index(flat, inner_shape) if inner_shape else ()
-                values = prefix + tuple(int(t) for t in tail)
+                point = prefix + tuple(int(t) for t in tail)
                 return CheckResult(ident.name, False,
-                                   dict(zip(ident.variables, values)), total)
+                                   dict(zip(ident.variables, point)), total)
     return CheckResult(ident.name, True, None, total)
 
 

@@ -1,5 +1,6 @@
 """Source-level guards that keep each merged idiom in one place."""
 
+import ast
 import pathlib
 import re
 
@@ -43,3 +44,16 @@ def test_oracles_use_no_private_lattice_names():
     imports = re.findall(r"from colat\.lattice import ([^\n]+)", oracles)
     names = [n.strip() for line in imports for n in line.split(",")]
     assert names and not [n for n in names if n.startswith("_")]
+
+
+def test_one_sweep_kernel_in_terms():
+    # one scan, no switch between kernels, and naive_check the only reference
+    text = (SOURCES[0].parent / "terms.py").read_text()
+    assert text.count("def scan") == 1
+    assert not re.search(r"\bos\.|environ|getenv|import os\b", text)
+    tree = ast.parse(text)
+    checks = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and "check" in node.name}
+    assert checks == {"check", "naive_check", "check_sigma"}
+    refs = [p.name for p in SOURCES if "def naive_check" in p.read_text()]
+    assert refs == ["terms.py"]

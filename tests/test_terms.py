@@ -12,6 +12,7 @@ import pytest
 
 from colat.lattice import iter_lattices, lattice_from_json, lattices_of_size, structural_predicates
 from colat.poset import Poset
+from colat import terms
 from colat.terms import (
     CheckResult,
     Identity,
@@ -240,6 +241,38 @@ def test_workers_do_not_change_result():
             one = check(L, builtin(name), workers=1)
             many = check(L, builtin(name), workers=4)
             assert (one.holds, one.witness) == (many.holds, many.witness)
+
+
+def test_chunked_path_matches_naive(monkeypatch):
+    # every corpus here has n**v <= 15,625 cells, below CHUNK_CELLS, so the
+    # default runs sweep one chunk; these sizes give prefixes of every depth
+    corpus = [L for size in range(1, 5) for L in lattices_of_size(size)]
+    corpus += [pentagon(), diamond()]
+    cases = [(L, builtin(name)) for L in corpus for name in builtin_names()]
+    refs = [naive_check(L, ident) for L, ident in cases]
+    for cells in (1, 7, 400):
+        monkeypatch.setattr(terms, "CHUNK_CELLS", cells)
+        for (L, ident), ref in zip(cases, refs):
+            got = check(L, ident)
+            assert (got.holds, got.witness) == (ref.holds, ref.witness), (cells, ident.name)
+        ref = naive_check(diamond(), builtin("HS"))
+        got = check(diamond(), builtin("HS"), workers=2)
+        assert not got.holds and got.witness == ref.witness
+
+
+def test_table_dtype_boundary():
+    # 256 elements is the last size with uint16 tables (largest index
+    # 65,535), 257 the first with wide ones
+    x, y = var("x"), var("y")
+    absorb = Identity("absorb", ("x", "y"), "eq", meet(x, join(x, y)), x)
+    below = Identity("below", ("x", "y"), "leq", join(x, y), x)
+    for n in (256, 257):
+        L = chain_lattice(n)
+        for ident, holds in ((absorb, True), (below, False)):
+            ref = naive_check(L, ident)
+            got = check(L, ident)
+            assert ref.holds == holds
+            assert (got.holds, got.witness) == (ref.holds, ref.witness)
 
 
 def test_one_sided_matches_naive_on_small_corpus():
