@@ -69,7 +69,7 @@ def cases():
 
 def main() -> int:
     if len(sys.argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print("usage: python3 bench/run.py OUT.json", file=sys.stderr)
         return 2
     out = Path(sys.argv[1])
     rows = []

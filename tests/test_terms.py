@@ -244,20 +244,20 @@ def test_workers_do_not_change_result():
 
 
 def test_chunked_path_matches_naive(monkeypatch):
-    # every corpus here has n**v <= 15,625 cells, below CHUNK_CELLS, so the
-    # default runs sweep one chunk; these sizes give prefixes of every depth
+    # every other test sweeps fewer than CHUNK_CELLS cells, so in one chunk;
+    # these chunk sizes give prefixes of every depth
     corpus = [L for size in range(1, 5) for L in lattices_of_size(size)]
     corpus += [pentagon(), diamond()]
     cases = [(L, builtin(name)) for L in corpus for name in builtin_names()]
     refs = [naive_check(L, ident) for L, ident in cases]
+    hs_ref = naive_check(diamond(), builtin("HS"))
     for cells in (1, 7, 400):
         monkeypatch.setattr(terms, "CHUNK_CELLS", cells)
         for (L, ident), ref in zip(cases, refs):
             got = check(L, ident)
             assert (got.holds, got.witness) == (ref.holds, ref.witness), (cells, ident.name)
-        ref = naive_check(diamond(), builtin("HS"))
         got = check(diamond(), builtin("HS"), workers=2)
-        assert not got.holds and got.witness == ref.witness
+        assert not got.holds and got.witness == hs_ref.witness
 
 
 def test_table_dtype_boundary():
