@@ -24,20 +24,32 @@ from .lattice import (
     monolith,
 )
 from .membership import decide_sub_lo
-from .poset import Poset
+from .poset import Poset, PosetError
+
+
+def _chain_co(n: int) -> tuple[FinLattice, list[int]]:
+    """Co(n-chain) and the convex-set mask of each element.
+
+    Every catalog lattice is built here.  The 16-element bound of
+    Poset.convex_sets is checked before the chain is built, which alone
+    takes seconds at a few thousand elements.
+    """
+    if n < 1:
+        raise ValueError("chain must have at least one element")
+    if n > 16:
+        raise PosetError("convex-set enumeration limited to 16 elements")
+    return Poset.chain(n).co_lattice()
 
 
 def co_chain(n: int) -> FinLattice:
     """The lattice of order-convex subsets of the n-element chain."""
-    if n < 1:
-        raise ValueError("chain must have at least one element")
-    return Poset.chain(n).co_lattice()[0]
+    return _chain_co(n)[0]
 
 
 def _lmn_parts(m: int, n: int) -> tuple[FinLattice, list[int]]:
     if m < 1 or n < 1:
         raise ValueError("both side lengths must be at least 1")
-    full, masks = Poset.chain(m + n + 1).co_lattice()
+    full, masks = _chain_co(m + n + 1)
     keep = [i for i, s in enumerate(masks) if not (s >> m) & 1 or (s >> (m - 1)) & 1]
     labels = tuple(full.label_of(e) for e in keep)
     return FinLattice(_restrict(full.up, keep), labels), [masks[e] for e in keep]
@@ -51,9 +63,7 @@ def _catalog_target(tag: str, params) -> tuple[FinLattice, tuple[int, ...]]:
     """
     if tag == "co_chain":
         (n,) = params
-        if n < 1:
-            raise ValueError("chain length must be positive")
-        T, masks = Poset.chain(n).co_lattice()
+        T, masks = _chain_co(n)
         gens = [1 << i for i in range(n)]
     elif tag == "lmn":
         m, n = params

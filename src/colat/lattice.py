@@ -225,35 +225,15 @@ class StructuralFlags:
 
 def structural_predicates(L: FinLattice) -> StructuralFlags:
     """Evaluate the three structural laws by exhaustive assignment."""
+    from .terms import builtin, check  # terms imports this module
+
     elems = range(L.n)
     jt, mt = L.join_table, L.meet_table
     distributive = all(mt[x][jt[y][z]] == jt[mt[x][y]][mt[x][z]]
                        for x in elems for y in elems for z in elems)
     jsd = not any(jt[a][c] == jt[a][b] and jt[a][mt[b][c]] != jt[a][b]
                   for a in elems for b in elems for c in elems)
-    return StructuralFlags(distributive, jsd, _dual_2_distributive(L))
-
-
-def _dual_2_distributive(L: FinLattice) -> bool:
-    import numpy as np
-
-    n = L.n
-    join, meet = L.np_tables
-    y0 = np.arange(n, dtype=np.int32).reshape(n, 1, 1)
-    y1 = np.arange(n, dtype=np.int32).reshape(1, n, 1)
-    y2 = np.arange(n, dtype=np.int32).reshape(1, 1, n)
-    j01 = join.take(y0 * n + y1)
-    j02 = join.take(y0 * n + y2)
-    j12 = join.take(y1 * n + y2)
-    j012 = join.take(j01 * n + y2)
-    for x in range(n):
-        lhs = meet.take(x * n + j012)
-        rhs = join.take(join.take(meet.take(x * n + j01) * n
-                                  + meet.take(x * n + j02)) * n
-                        + meet.take(x * n + j12))
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
+    return StructuralFlags(distributive, jsd, check(L, builtin("D2DUAL"), force=True).holds)
 
 
 # -- congruences -------------------------------------------------------------
@@ -698,19 +678,24 @@ def lattice_to_json(L: FinLattice) -> dict:
 
 
 def lattice_from_json(data: dict) -> FinLattice:
-    try:
-        n = int(data["size"])
-        pairs = data["leq_pairs"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LatticeError(f"bad lattice JSON: {exc}") from exc
-    if n < 1:
-        raise LatticeError("lattice must have at least one element")
+    """Read {"size", "leq_pairs", "labels"}; the pairs generate the order.
+
+    A lattice's order is connected, so it needs at least size - 1
+    generating pairs; fewer are rejected before anything is allocated.
+    """
+    if not isinstance(data, dict) or "size" not in data or "leq_pairs" not in data:
+        raise LatticeError("bad lattice JSON: needs an object with 'size' and 'leq_pairs'")
+    n, pairs = data["size"], data["leq_pairs"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise LatticeError("size must be a positive integer")
     if not isinstance(pairs, (list, tuple)):
         raise LatticeError("leq_pairs must be a list")
+    if len(pairs) < n - 1:
+        raise LatticeError(f"{len(pairs)} leq pairs cannot connect {n} elements")
     up = [1 << i for i in range(n)]
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(isinstance(x, int) for x in pair)):
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in pair)):
             raise LatticeError(f"leq pair {pair!r} is not a pair of integers")
         i, j = pair
         if not (0 <= i < n and 0 <= j < n):

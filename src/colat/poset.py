@@ -132,9 +132,12 @@ def poset_to_json(P: Poset) -> dict:
 
 
 def poset_from_json(data: dict) -> Poset:
+    if not (isinstance(data, dict) and isinstance(data.get("elements"), list)
+            and isinstance(data.get("covers"), list)):
+        raise PosetError("bad poset JSON: needs an object with 'elements' and 'covers' lists")
     try:
         labels = [str(x) for x in data["elements"]]
         covers = [(str(a), str(b)) for a, b in data["covers"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise PosetError(f"bad poset JSON: {exc}") from exc
     return Poset.from_covers(labels, covers)

@@ -3,6 +3,7 @@ import pytest
 from colat.catalog import (
     SIClass,
     VarietyPosition,
+    _catalog_target,
     canonical_bitrack,
     classify_si,
     co_chain,
@@ -21,6 +22,7 @@ from colat.lattice import (
     principal_congruence,
 )
 from colat.membership import decide_sub_lo
+from colat.poset import Poset, PosetError
 
 
 def by_label(L, lbl):
@@ -61,6 +63,22 @@ def test_co_chain_sizes():
         assert co_chain(n).n == n * (n + 1) // 2 + 1
     with pytest.raises(ValueError):
         co_chain(0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: co_chain(17),
+    lambda: l_mn(8, 8),
+    lambda: _catalog_target("co_chain", (30_000,)),
+    lambda: _catalog_target("lmn", (3, 30_000)),
+], ids=["co_chain", "l_mn", "target co", "target lmn"])
+def test_chain_bound_checked_before_the_chain(monkeypatch, build):
+    # building a chain of thousands of elements alone takes seconds
+    def chain(n):
+        raise AssertionError(f"built the {n}-chain")
+
+    monkeypatch.setattr(Poset, "chain", staticmethod(chain))
+    with pytest.raises(PosetError, match="limited to 16 elements"):
+        build()
 
 
 def test_lmn_11_is_pentagon(pentagon):

@@ -105,6 +105,17 @@ def test_from_covers_rejects_cycles():
         Poset.from_covers("ab", [("a", "b"), ("b", "a")])
 
 
+@pytest.mark.parametrize("data", [
+    {"elements": "ab", "covers": []},
+    {"elements": ["a", "b"], "covers": "ab"},
+    {"elements": ["a", "b"]},
+    ["a", "b"],
+])
+def test_from_json_requires_lists(data):
+    with pytest.raises(PosetError, match="'elements' and 'covers' lists"):
+        poset_from_json(data)
+
+
 def test_json_round_trip():
     P = Poset.from_covers("abcde", [("a", "b"), ("b", "c"), ("a", "d"), ("d", "c"), ("c", "e")])
     Q = poset_from_json(poset_to_json(P))
