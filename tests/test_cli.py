@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -81,6 +85,32 @@ class TestCoAndCatalog:
         assert rc == 0
         assert out.strip() == "Lmn(1,2)"
 
+
+    def test_chain_bound_checked_first(self):
+        # the bound is checked before the chain is built, which alone took
+        # minutes at this length
+        env = dict(os.environ)
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "colat.cli", "co", "100000"],
+                              capture_output=True, text=True, timeout=5, env=env)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: convex-set enumeration limited to 16 elements\n"
+
+    @pytest.mark.parametrize("argv", [["catalog", "lmn", "9", "9"],
+                                      ["catalog", "co", "4000"]])
+    def test_catalog_bound(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert "limited to 16 elements" in err
+
+    def test_poset_elements_must_be_a_list(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"elements": "ab", "covers": []}))
+        rc, out, err = run(capsys, "co", str(path))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: bad poset JSON")
 
     @pytest.mark.parametrize("argv", [["co", "3"], ["catalog", "co", "3"]])
     def test_json_flag_not_accepted(self, capsys, argv):
@@ -218,6 +248,15 @@ class TestEmbedAndCert:
         assert rc == 0
         assert "embedding found" in out
 
+    def test_embed_json_names_the_source(self, co3, tmp_path, capsys):
+        rc, out, _ = run(capsys, "co", "2")
+        small = tmp_path / "co2.json"
+        small.write_text(out)
+        rc, out, _ = run(capsys, "embed", str(small), co3, "--json")
+        payload = json.loads(out)
+        assert payload["source"] == ["{}", "{0}", "{1}", "{0,1}"]
+        assert len(payload["values"]) == 4
+
     def test_embed_missing(self, co3, tmp_path, capsys):
         rc, out, _ = run(capsys, "co", "2")
         small = tmp_path / "co2.json"
@@ -289,10 +328,31 @@ class TestClassify:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         rc, out, err = run(capsys, "classify", str(path))
-        assert rc == 1
+        assert rc == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["dot", "bad.json"],
+        ["embed", "bad.json", "ok.json"],
+        ["embed", "ok.json", "bad.json"],
+        ["check", "bad.json", "--identity", "E"],
+        ["member", "bad.json", "--json"],
+        ["retract", "bad.json", "--pi", "pi.json", "--target", "co:2"],
+    ])
+    def test_non_lattice_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        # JSON that parses but is no lattice is an input error, not a rejection
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text(json.dumps(
+            {"size": 3, "leq_pairs": [[0, 1], [0, 2]]}))
+        (tmp_path / "ok.json").write_text(json.dumps({"size": 1, "leq_pairs": []}))
+        (tmp_path / "pi.json").write_text(json.dumps({"values": [0, 1, 2]}))
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == "error: elements 1,2 have no upper bound\n"
 
 
 class TestTracks:
@@ -306,6 +366,13 @@ class TestTracks:
                          "--limit", "1")
         assert rc == 0
         assert "count: 1" in out
+
+    def test_negative_limit(self, pent, capsys):
+        # -1 used to count as "truthy" and stop after one bi-track
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tracks", pent, "--index", "1", "1", "--limit", "-1"])
+        assert exc.value.code == 2
+        assert "--limit: must be at least 0" in capsys.readouterr().err
 
 
 class TestRetract:
@@ -326,6 +393,14 @@ class TestRetract:
                          "--target", "co:3")
         assert rc == 0
         assert "pi o phi = identity" in out
+
+    def test_section_json_names_the_source(self, product, capsys):
+        lat, pi = product
+        rc, out, _ = run(capsys, "retract", lat, "--pi", pi, "--target", "co:3", "--json")
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["source"] == ["{}", "{0}", "{1}", "{0,1}", "{2}", "{1,2}", "{0,1,2}"]
+        assert len(payload["section"]) == 7
 
     def test_short_values(self, product, tmp_path, capsys):
         lat, _ = product
@@ -370,6 +445,14 @@ class TestFindPQ:
         assert rc == 0
         assert "witnesses: 1" in out
         assert '"elements"' in out
+
+    def test_negative_limit(self, capsys, monkeypatch):
+        # -1 used to sweep every completion, like 0
+        monkeypatch.setattr(cli, "search_pq", lambda limit, workers: pytest.fail())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["find-pq", "--limit", "-1"])
+        assert exc.value.code == 2
+        assert "--limit: must be at least 0" in capsys.readouterr().err
 
     def test_none_found(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "search_pq", lambda limit, workers: [])

@@ -177,7 +177,7 @@ PINNED = {
     "member co3.json --variety sub-lattices --json":
         "31b7b87635ccd579c2eac923ad1a3265273c1aa66e1c3e4415be277496707392",
     "embed co2.json co3.json --json":
-        "0a3d3ccce7d3ab86e6781c79a2b5a5073c9b34f9a744faf0aa08f84128254eac",
+        "ab74c68087a0ffe656787ede89ac844b4374a3c88757182d17c69938f02a0eb9",
     "embed co3.json co2.json --json":
         "81eca542d39c95e578a7febd6fadc1f3b1a7818189dc2713e5174c490b07f5b9",
     "verify-cert pent.json cert.json --json":
@@ -199,7 +199,7 @@ PINNED = {
     "tracks co3.json --index 1 2 --json":
         "12b9ddc125ac2620fed22c9492bdd1fa62ee555b73859c1b0a7baa4326dc61fb",
     "retract prod.json --pi pi.json --target co:3 --json":
-        "55d914b551fa9f757b0eddf608032094523ad24b5198851ffd294450a6dade8a",
+        "2e0e4e41103ab11dfd0524ecef7e924e684a7e718cc35fd59909c2b017d54fab",
     "retract prod.json --pi pi.json --target lmn:1,1 --json":
         "189a70f3340c7b77b0ec6c9e68c2a3e44b96939cafcfe5140a7c8632724aa97c",
     "retract prod.json --pi const.json --target co:3 --json":

@@ -57,3 +57,26 @@ def test_one_sweep_kernel_in_terms():
     assert checks == {"check", "naive_check", "check_sigma"}
     refs = [p.name for p in SOURCES if "def naive_check" in p.read_text()]
     assert refs == ["terms.py"]
+
+
+def test_cli_reports_take_one_path():
+    # every _cmd_* returns (code, payload, lines); main alone stamps the
+    # report keys and prints
+    text = (SOURCES[0].parent / "cli.py").read_text()
+    tree = ast.parse(text)
+    keys = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys += [k.value for k in node.keys if isinstance(k, ast.Constant)]
+        elif isinstance(node, ast.Assign):
+            keys += [t.slice.value for t in node.targets
+                     if isinstance(t, ast.Subscript) and isinstance(t.slice, ast.Constant)]
+    assert [keys.count(k) for k in ("command", "inputs", "seconds")] == [1, 1, 1]
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert text.count("print(") == ast.get_source_segment(text, functions["main"]).count("print(")
+    commands = [f for name, f in functions.items() if name.startswith("_cmd_")]
+    assert len(commands) == 14
+    for f in commands:
+        returns = [n.value for n in ast.walk(f) if isinstance(n, ast.Return)]
+        assert returns and all(isinstance(r, ast.Tuple) and len(r.elts) == 3
+                               for r in returns), f.name
