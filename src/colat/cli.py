@@ -240,7 +240,7 @@ def _cmd_retract(ns, inputs):
     data = inputs.json(ns.pi)
     values = data.get("values") if isinstance(data, dict) else None
     if (not isinstance(values, list) or len(values) != Lp.n
-            or not all(isinstance(v, int) and 0 <= v < T.n for v in values)):
+            or not all(type(v) is int and 0 <= v < T.n for v in values)):
         raise ValueError("pi JSON needs a 'values' list mapping every element")
     phi = retract_section(Lp, LatticeMap(Lp, T, tuple(values)), target)
     payload = {"target": ns.target, "source": list(T.labels),

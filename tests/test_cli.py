@@ -87,7 +87,7 @@ class TestCoAndCatalog:
 
 
     def test_chain_bound_checked_first(self):
-        # the bound is checked before the chain is built, which alone took
+        # the bound is checked before the chain is built, which alone takes
         # minutes at this length
         env = dict(os.environ)
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -368,7 +368,7 @@ class TestTracks:
         assert "count: 1" in out
 
     def test_negative_limit(self, pent, capsys):
-        # -1 used to count as "truthy" and stop after one bi-track
+        # a negative limit is an input error, not "stop after one"
         with pytest.raises(SystemExit) as exc:
             cli.main(["tracks", pent, "--index", "1", "1", "--limit", "-1"])
         assert exc.value.code == 2
@@ -410,6 +410,15 @@ class TestRetract:
                          "--target", "co:3")
         assert rc == 2
 
+    def test_bool_values(self, product, tmp_path, capsys):
+        # true and false are not element indices, though Python counts them as ints
+        lat, _ = product
+        pi = tmp_path / "bools.json"
+        pi.write_text(json.dumps({"values": [i // 4 > 2 for i in range(28)]}))
+        rc, out, err = run(capsys, "retract", lat, "--pi", str(pi), "--target", "co:3")
+        assert (rc, out) == (2, "")
+        assert err == "error: pi JSON needs a 'values' list mapping every element\n"
+
     def test_pi_not_an_object(self, product, tmp_path, capsys):
         lat, _ = product
         pi = tmp_path / "list.json"
@@ -447,7 +456,7 @@ class TestFindPQ:
         assert '"elements"' in out
 
     def test_negative_limit(self, capsys, monkeypatch):
-        # -1 used to sweep every completion, like 0
+        # a negative limit is an input error, not "sweep every completion"
         monkeypatch.setattr(cli, "search_pq", lambda limit, workers: pytest.fail())
         with pytest.raises(SystemExit) as exc:
             cli.main(["find-pq", "--limit", "-1"])
