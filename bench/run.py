@@ -1,16 +1,19 @@
-"""Sweep micro benchmark: cells per second of terms.check on fixed cases.
+"""Identity micro benchmark: cells per second of terms.check on fixed cases.
 
     python3 bench/run.py OUT.json
 
 Run it from the repository root; it imports colat from ./src and needs
 nothing else outside the standard library.  Each case runs ``check`` with
-one worker REPEAT times.  The cells of a case are the assignments the
-sweep evaluated: all of them when the identity holds, and those up to
-and including the witness when it fails.  A case's rate is its cells
-over its median time.  The cases are E, P, HS and (*) on Co(6), the 22
-convex subsets of a 6-element chain, and (*) on the 45-element Co(Q),
-which fails (*) and stops at its least witness.  OUT.json records the
-machine (nproc, CPU model, Python and numpy versions) and every timing.
+one worker REPEAT times.  The cells of a case are the assignments its
+verdict covers: all of them when the identity holds, whether the sweep
+or the demand search decided it, and those up to and including the
+witness when it fails.  A case's rate is its cells over its median time.
+The cases are E, P, HS and (*) on Co(6), the 22 convex subsets of a
+6-element chain, and (*) on the 45-element Co(Q), which fails (*) and
+stops at its least witness.  A last row times the exhaustive
+``search_pq(limit=None)`` and lists |Co(Q)| of the pairs it finds.
+OUT.json records the machine (nproc, CPU model, Python and numpy
+versions) and every timing.
 """
 
 import importlib.metadata
@@ -93,6 +96,19 @@ def main() -> int:
         rows.append(row)
         print(f"{name:12s} n={L.n:2d} cells={row['cells']:>13,d} "
               f"median={median:7.3f} s  {row['cells_per_s']:>13,d} cells/s")
+    seconds = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        found = star.search_pq(limit=None)
+        seconds.append(time.perf_counter() - start)
+    median = statistics.median(seconds)
+    rows.append({
+        "case": "search_pq(limit=None)",
+        "pairs": [w.Q.co_lattice()[0].n for w in found],
+        "seconds": [round(s, 4) for s in seconds],
+        "median_s": round(median, 4),
+    })
+    print(f"{'search_pq':12s} pairs={rows[-1]['pairs']} median={median:7.3f} s")
     report = {"machine": machine(), "repeat": REPEAT, "cases": rows}
     out.write_text(json.dumps(report, indent=2) + "\n")
     return 0

@@ -42,7 +42,7 @@ from .membership import (
 from .poset import Poset, poset_from_json
 from .project import retract_section
 from .star import search_pq, verify_separation, witness_to_json
-from .terms import builtin, builtin_names, check, check_sigma, load_identity
+from .terms import builtin, builtin_names, check, check_sigma, identity_from_json
 
 
 def _read_text(path: str) -> tuple[str, str]:
@@ -86,10 +86,10 @@ class _Inputs:
         return _loaded(poset_from_json, self.json(path))
 
     def identity(self, name: str):
-        """A builtin by name, else an identity file, which is not digested."""
+        """A builtin by name, else an identity file, digested like any input."""
         if name in builtin_names():
             return builtin(name)
-        return _loaded(load_identity, name)
+        return _loaded(identity_from_json, self.json(name))
 
 
 def _labelled(L: FinLattice, witness) -> dict | None:

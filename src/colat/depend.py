@@ -36,14 +36,19 @@ def min_covers(L: FinLattice, p: int) -> list[tuple[int, ...]]:
             chosen.pop()
 
     extend(0, [], L.bottom)
+    # e is not minimal when another cover g refines it, that is, when the
+    # members of g all lie in the down-set of e; g's least member does too
+    members = {e: sum(1 << x for x in e) for e in covers}
+    by_least: dict[int, list[tuple[int, ...]]] = {}
+    for e in covers:
+        by_least.setdefault(e[0], []).append(e)
     out = []
     for e in covers:
-        minimal = True
-        for g in covers:
-            if g != e and all(any(L.leq(x, y) for y in e) for x in g):
-                minimal = False
-                break
-        if minimal:
+        down = 0
+        for y in e:
+            down |= L.down[y]
+        if not any(g != e and not members[g] & ~down
+                   for x in bits(down) for g in by_least.get(x, ())):
             out.append(e)
     out.sort()
     return out

@@ -17,18 +17,30 @@ operation is one add and one take, or plain; a prefix scalar operand
 selects a table row instead.  An array node is recomputed only when the
 prefix values it reads change, so nodes that read no prefix variable
 are computed once per check.
+
+A verdict can also be decided over the join-irreducibles, without
+visiting the assignments one by one: decide_identity runs a demand
+search (see _Demand) on each inclusion that Whitman's algorithm does not
+already prove for every lattice.  check takes that route first when its
+sweep would need more than one chunk, and stops the search after a state
+budget of total / 1024, under the cost of the sweep it stands in for.
+When the search finds the identity holds, check returns at once; when it
+fails, or the budget runs out, check sweeps as above.  The sweep alone
+produces witnesses, and every check of at most CHUNK_CELLS assignments
+is swept directly.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .depend import is_minimal_in, is_minimal_pair_cover, minimal_pairs
+from .depend import is_minimal_in, is_minimal_pair_cover, min_covers, minimal_pairs
 from .lattice import FinLattice
 from .pool import ordered_map
 
@@ -370,6 +382,33 @@ def naive_check(L: FinLattice, ident: Identity, one_sided: bool = False) -> Chec
     return CheckResult(ident.name, True, None, L.n ** len(names))
 
 
+def _term_nodes(variables, lhs: Term, rhs: Term):
+    """CSE two terms into one node list, children first.
+
+    A node is (kind, children, vi, support): vi is the index of a
+    variable node's variable and -1 for an operation, and support is the
+    bitmask of the variables a node reads.  Returns the list and the
+    indices of lhs and rhs.
+    """
+    order = {name: i for i, name in enumerate(variables)}
+    index: dict[Term, int] = {}
+    nodes: list[tuple] = []
+
+    def visit(t: Term) -> int:
+        got = index.get(t)
+        if got is None:
+            kids = tuple(visit(c) for c in t.children)
+            vi = order[t.name] if t.kind == "var" else -1
+            support = 1 << vi if vi >= 0 else 0
+            for c in kids:
+                support |= nodes[c][3]
+            got = index[t] = len(nodes)
+            nodes.append((t.kind, kids, vi, support))
+        return got
+
+    return nodes, visit(lhs), visit(rhs)
+
+
 def _compile(ident: Identity, n_prefix: int, want_eq: bool):
     """CSE the compared terms into one topologically sorted node list.
 
@@ -384,32 +423,14 @@ def _compile(ident: Identity, n_prefix: int, want_eq: bool):
     compares the plain values of the two indices returned with the list:
     lhs and rhs for "eq", lhs v rhs and rhs for "leq".
     """
-    order = {name: i for i, name in enumerate(ident.variables)}
-    index: dict[Term, int] = {}
-    nodes: list[tuple] = []
-    supports: list[frozenset[int]] = []
-    ranks: list[int] = []                 # inner variables each node reads
-
-    def visit(t: Term) -> int:
-        got = index.get(t)
-        if got is not None:
-            return got
-        if t.kind == "var":
-            node = ("var", order[t.name], (), ())
-            support = frozenset((order[t.name],))
-        else:
-            kids = [visit(c) for c in t.children]
-            arrays = sorted((k for k in kids if ranks[k]), key=ranks.__getitem__)
-            node = (t.kind, None, tuple(k for k in kids if not ranks[k]), tuple(arrays))
-            support = frozenset().union(*(supports[k] for k in kids))
-        index[t] = len(nodes)
-        nodes.append(node)
-        supports.append(support)
-        ranks.append(sum(i >= n_prefix for i in support))
-        return index[t]
-
-    rhs = visit(ident.rhs)
-    lhs = visit(ident.lhs if want_eq else join(ident.lhs, ident.rhs))
+    top = ident.lhs if want_eq else join(ident.lhs, ident.rhs)
+    terms, rhs, lhs = _term_nodes(ident.variables, ident.rhs, top)
+    # how many inner variables each node reads
+    ranks = [(support >> n_prefix).bit_count() for *_, support in terms]
+    nodes = []
+    for kind, kids, vi, _ in terms:
+        arrays = sorted((k for k in kids if ranks[k]), key=ranks.__getitem__)
+        nodes.append((kind, vi, tuple(k for k in kids if not ranks[k]), tuple(arrays)))
     plain, pre = {lhs, rhs}, set()
     for _, _, scalars, arrays in nodes:
         if arrays and not scalars:
@@ -419,7 +440,7 @@ def _compile(ident: Identity, n_prefix: int, want_eq: bool):
             # the first array is read through the row of the folded scalars
             plain.update(arrays)
     return [
-        (*node, tuple(sorted(i for i in supports[k] if i < n_prefix)) if ranks[k] else None,
+        (*node, tuple(i for i in range(n_prefix) if terms[k][3] >> i & 1) if ranks[k] else None,
          k in plain, k in pre)
         for k, node in enumerate(nodes)
     ], lhs, rhs
@@ -498,7 +519,9 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
     sound only when the converse inclusion holds in every lattice, as it
     does for the built-ins.  The reported witness is the lexicographically
     least counter-assignment in the declared variable order, independent
-    of worker count.
+    of worker count.  A check of more than one chunk first tries the
+    demand search over J(L), which returns the same "holds" result
+    without sweeping.
     """
     n, v = L.n, len(ident.variables)
     total = n ** v
@@ -510,6 +533,10 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
     c = 0
     while n ** (v - c) > CHUNK_CELLS:
         c += 1
+    # a state of the search costs about as much as sweeping 1024 cells or
+    # fewer, so the budget keeps a search that gives up cheaper than the sweep
+    if c and _decide(L, ident, one_sided, total >> 10):
+        return CheckResult(ident.name, True, None, total)
     want_eq = ident.relation == "eq" and not one_sided
     nodes, lhs, rhs = _compile(ident, c, want_eq)
     # n <= 256 keeps every table index i * n + j below 2**16
@@ -539,6 +566,181 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
                 return CheckResult(ident.name, False,
                                    dict(zip(ident.variables, point)), total)
     return CheckResult(ident.name, True, None, total)
+
+
+# -- deciding an identity over the join-irreducibles -------------------------------
+
+
+def _free_leq(nodes, s: int, t: int, memo: dict) -> bool:
+    """Whitman's algorithm: whether s <= t holds in every lattice.
+
+    Freese, Jezek and Nation, Free Lattices (AMS 1995), ch. 1.
+    """
+    key = (s, t)
+    if key not in memo:
+        (ks, cs, *_), (kt, ct, *_) = nodes[s], nodes[t]
+        if ks == "join":
+            got = all(_free_leq(nodes, c, t, memo) for c in cs)
+        elif kt == "meet":
+            got = all(_free_leq(nodes, s, c, memo) for c in ct)
+        else:
+            # a variable has no children: two variables compare by identity
+            got = (s == t or any(_free_leq(nodes, c, t, memo) for c in cs)
+                   or any(_free_leq(nodes, s, c, memo) for c in ct))
+        memo[key] = got
+    return memo[key]
+
+
+class _Demand:
+    """The demand search over J(L), for one lattice and one node list.
+
+    p <= q fails in L iff some join-irreducible j and some assignment x
+    have j <= p(x) and j !<= q(x).  The search starts from the goal
+    j <= p with every variable at bottom and passes goals down p: a meet
+    to each child, a variable joins the demanded element into its value,
+    and a join either to one child or, through a minimal nontrivial join
+    cover of the goal, each member of the cover to some child.  Every
+    nontrivial join cover refines to a minimal one (Freese, Jezek and
+    Nation, Free Lattices, ch. 2), so below every failing x lies a leaf
+    of the search, and every leaf is a failing assignment.
+
+    A state is the node values at its assignment, open goals (k, a)
+    meaning a <= node k, and bars (k, a) meaning a !<= node k.  Values
+    only grow down a branch, so a met goal is dropped and a state that
+    breaks a bar is pruned.  The first bar is (q, j).  The i-th one-child
+    branch of a join bars the children before it, since a failing x
+    with the goal below one of those is found on that earlier branch;
+    the cover branches bar every child, and so never send a whole cover
+    to one child.  budget counts the states pushed over all calls.
+    """
+
+    def __init__(self, L: FinLattice, nodes, budget):
+        self.L, self.nodes, self.budget = L, nodes, budget
+        tables = {"join": L.join_table, "meet": L.meet_table}
+        self.ops = [(k, tables[kind], kids, support)
+                    for k, (kind, kids, _, support) in enumerate(nodes) if kind != "var"]
+        self.var_nodes = [k for k, node in enumerate(nodes) if node[0] == "var"]
+        self.plans: dict[int, list] = {}
+        self.covers: dict[int, list] = {}
+        self.base = [L.bottom] * len(nodes)
+        self.update(self.base, -1)
+
+    def update(self, values: list, dirty: int) -> None:
+        """Recompute, in place, the operation nodes that read a variable in dirty."""
+        plan = self.plans.get(dirty)
+        if plan is None:
+            plan = self.plans[dirty] = [
+                (k, table, kids) for k, table, kids, support in self.ops if support & dirty]
+        for k, table, kids in plan:
+            acc = values[kids[0]]
+            for c in kids[1:]:
+                acc = table[acc][values[c]]
+            values[k] = acc
+
+    def width(self, goal: tuple) -> int:
+        """How many branches the open join goal (k, a) makes."""
+        m = len(self.nodes[goal[0]][1])
+        return m + sum(m ** len(cover) - m for cover in self.min_covers(goal[1]))
+
+    def branches(self, goal: tuple, joins: list, bars: tuple):
+        """The (goals, bars) children of a state that branches on one open join goal."""
+        k, a = goal
+        rest = [g for g in joins if g != goal]
+        kids = self.nodes[k][1]
+        out = [(rest + [(c, a)], bars + tuple((d, a) for d in kids[:i]))
+               for i, c in enumerate(kids)]
+        barred = bars + tuple((d, a) for d in kids)
+        for cover in self.min_covers(a):
+            for spread in itertools.product(kids, repeat=len(cover)):
+                if len(set(spread)) > 1:
+                    out.append((rest + list(zip(spread, cover)), barred))
+        return out
+
+    def min_covers(self, a: int) -> list:
+        got = self.covers.get(a)
+        if got is None:
+            got = self.covers[a] = min_covers(self.L, a)
+        return got
+
+    def refutes(self, p: int, q: int) -> bool | None:
+        """Whether p <= q fails; None once the budget runs out."""
+        up, jt, nodes = self.L.up, self.L.join_table, self.nodes
+        for j in self.L.join_irreducibles:
+            if up[j] >> self.base[q] & 1:
+                continue                  # j <= q(bottom) <= q(x) for every x
+            stack = [(self.base, [(p, j)], ((q, j),))]
+            seen = set()
+            while stack:
+                values, goals, bars = stack.pop()
+                dirty, joins = 0, []
+                while goals:
+                    k, a = goals.pop()
+                    if up[a] >> values[k] & 1:
+                        continue
+                    kind, kids, vi, _ = nodes[k]
+                    if kind == "meet":
+                        goals.extend((c, a) for c in kids)
+                    elif kind == "join":
+                        joins.append((k, a))
+                    else:
+                        if not dirty:
+                            values = values[:]
+                        dirty |= 1 << vi
+                        values[k] = jt[values[k]][a]
+                if dirty:
+                    # a branch's new bars hold at its parent's values, so
+                    # only a state that raised a variable can break one
+                    self.update(values, dirty)
+                    if any(up[a] >> values[k] & 1 for k, a in bars):
+                        continue
+                joins = [(k, a) for k, a in joins if not up[a] >> values[k] & 1]
+                if not joins:
+                    return True
+                key = (tuple(values[k] for k in self.var_nodes),
+                       frozenset(joins), frozenset(bars))
+                if key in seen:
+                    continue
+                seen.add(key)
+                # branch on the goal with the fewest alternatives
+                goal = min(joins, key=self.width)
+                self.budget -= self.width(goal)
+                if self.budget < 0:
+                    return None
+                stack.extend((values, *branch)
+                             for branch in reversed(self.branches(goal, joins, bars)))
+        return False
+
+
+def _decide(L: FinLattice, ident: Identity, one_sided: bool, budget) -> bool | None:
+    """Whether ident holds in L, or None when the demand search runs out of budget.
+
+    Each inclusion that Whitman's algorithm proves for every lattice is
+    skipped; for E, P, HS and D2DUAL that is rhs <= lhs.
+    """
+    nodes, lhs, rhs = _term_nodes(ident.variables, ident.lhs, ident.rhs)
+    sides = [(lhs, rhs)]
+    if ident.relation == "eq" and not one_sided:
+        sides.append((rhs, lhs))
+    memo: dict = {}
+    search = _Demand(L, nodes, budget)
+    for p, q in sides:
+        if _free_leq(nodes, p, q, memo):
+            continue
+        refuted = search.refutes(p, q)
+        if refuted is None:
+            return None
+        if refuted:
+            return False
+    return True
+
+
+def decide_identity(L: FinLattice, ident: Identity, one_sided: bool = False) -> bool:
+    """Whether ident holds in L, decided over J(L) without a witness.
+
+    Gives the verdict of check with one_sided meaning the same; for the
+    least counter-assignment, call check.
+    """
+    return _decide(L, ident, one_sided, math.inf)
 
 
 # -- semantic interpretations over the join-irreducibles ---------------------------

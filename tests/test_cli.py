@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import io
 import json
 import os
@@ -197,6 +198,16 @@ class TestCheck:
         assert payload["holds"] is True
         assert co3 in payload["inputs"]
         assert len(payload["inputs"][co3]) == 64
+
+    def test_json_digests_identity_file(self, co3, tmp_path, capsys):
+        from colat.terms import builtin, identity_to_json
+        path = tmp_path / "ident.json"
+        path.write_text(json.dumps(identity_to_json(builtin("P"))))
+        rc, out, _ = run(capsys, "check", "--identity", str(path), co3, "--json")
+        assert rc == 0
+        inputs = json.loads(out)["inputs"]
+        assert sorted(inputs) == sorted([co3, str(path)])
+        assert inputs[str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_timing_flag(self, co3, capsys):
         rc, out, _ = run(capsys, "check", "--identity", "E", co3, "--timing")

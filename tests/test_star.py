@@ -73,6 +73,13 @@ class TestCompletions:
     def test_limit_zero(self):
         assert search_pq(limit=0) == []
 
+    def test_exhaustive_search(self):
+        # every completion: Co(Q) satisfies (*) in exactly four of them, and
+        # the first of those is the shipped pair
+        found = search_pq(limit=None)
+        assert [w.Q.co_lattice()[0].n for w in found] == [40, 45, 45, 51]
+        assert witness_to_json(found[0]) == witness_to_json(load_pq_fixture())
+
 
 class TestFixture:
     def test_shape(self):

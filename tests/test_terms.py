@@ -9,8 +9,16 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from colat.lattice import iter_lattices, lattice_from_json, lattices_of_size, structural_predicates
+from colat.lattice import (
+    direct_product,
+    iter_lattices,
+    lattice_from_json,
+    lattices_of_size,
+    structural_predicates,
+)
 from colat.poset import Poset
 from colat import terms
 from colat.terms import (
@@ -23,6 +31,7 @@ from colat.terms import (
     builtin_names,
     check,
     check_sigma,
+    decide_identity,
     eval_term,
     identity_from_json,
     identity_to_json,
@@ -245,7 +254,10 @@ def test_workers_do_not_change_result():
 
 def test_chunked_path_matches_naive(monkeypatch):
     # every other test sweeps fewer than CHUNK_CELLS cells, so in one chunk;
-    # these chunk sizes give prefixes of every depth
+    # these chunk sizes give prefixes of every depth.  A multi-chunk check
+    # tries the demand search first; here it always gives up, so the cases
+    # that hold are swept too
+    monkeypatch.setattr(terms, "_decide", lambda *args: None)
     corpus = [L for size in range(1, 5) for L in lattices_of_size(size)]
     corpus += [pentagon(), diamond()]
     cases = [(L, builtin(name)) for L in corpus for name in builtin_names()]
@@ -306,6 +318,81 @@ def test_check_pinned_up_to_size_6():
     records = list(pinned_check_records(check))
     text = json.dumps(records, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CHECKS
+
+
+# sha256 of the compact JSON list of naive_check verdicts for every builtin
+# on every lattice of size <= 7, in the order of pinned_check_records with
+# size 7, one_sided=True as well for the equalities; 702 checks, 98 failing;
+# recorded once, since naive_check takes about ten minutes over this corpus
+PINNED_VERDICTS = "9d7c7b6a89ab626b458282765cd956ee7145616bb45d4a67ad4d7121110ff510"
+
+
+def test_decide_identity_pinned_up_to_size_7():
+    verdicts = []
+    for L in iter_lattices(7):
+        for name in builtin_names():
+            ident = builtin(name)
+            sides = (False, True) if ident.relation == "eq" else (False,)
+            verdicts += [decide_identity(L, ident, one_sided) for one_sided in sides]
+    text = json.dumps(verdicts, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_VERDICTS
+
+
+VARIABLES = ("x0", "x1", "x2", "x3")
+TERMS = st.recursive(
+    st.sampled_from(VARIABLES).map(var),
+    lambda kids: st.builds(lambda op, ts: op(*ts), st.sampled_from((join, meet)),
+                           st.lists(kids, min_size=2, max_size=3)),
+    max_leaves=8,
+)
+
+# each of three distinct variables, alone or joined or met with a term
+def _law_arguments(names):
+    return st.tuples(*(st.one_of(st.just(var(v)),
+                                 TERMS.map(lambda t, v=v: join(var(v), t)),
+                                 TERMS.map(lambda t, v=v: meet(var(v), t)))
+                       for v in names[:3]))
+
+
+LAW_ARGUMENTS = st.permutations(VARIABLES).flatmap(_law_arguments)
+# two random terms rarely make an identity that holds in some lattices and
+# not in all, so instances of the distributive and modular laws are drawn too
+SIDES = st.one_of(
+    st.tuples(TERMS, TERMS),
+    LAW_ARGUMENTS.map(lambda t: (meet(t[0], join(t[1], t[2])),
+                                 join(meet(t[0], t[1]), meet(t[0], t[2])))),
+    LAW_ARGUMENTS.map(lambda t: (meet(t[0], join(t[1], meet(t[0], t[2]))),
+                                 join(meet(t[0], t[1]), meet(t[0], t[2])))),
+)
+SMALL = [L for L in iter_lattices(6) if L.n > 1]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(SMALL), SIDES, st.sampled_from(("eq", "leq")), st.booleans())
+def test_decide_identity_matches_naive_on_random_terms(L, sides, relation, one_sided):
+    ident = Identity("random", VARIABLES, relation, *sides)
+    assert decide_identity(L, ident, one_sided) == naive_check(L, ident, one_sided).holds
+
+
+def test_decide_identity_matches_sweep_on_products(monkeypatch):
+    ident = builtin("D2DUAL")
+    products = [direct_product(co_chain(3), co_chain(3)), direct_product(pentagon(), pentagon())]
+    verdicts = [decide_identity(L, ident) for L in products]
+    # the 49-element sweep takes several chunks, so check would try the
+    # search first; switched off, check sweeps every assignment
+    monkeypatch.setattr(terms, "_decide", lambda *args: None)
+    assert verdicts == [check(L, ident).holds for L in products]
+
+
+def test_free_lattice_side_is_skipped():
+    # rhs <= lhs holds in every lattice for the four equalities, so only
+    # lhs <= rhs is searched; (*) is searched as given
+    for name in builtin_names():
+        ident = builtin(name)
+        nodes, lhs, rhs = terms._term_nodes(ident.variables, ident.lhs, ident.rhs)
+        memo = {}
+        assert not terms._free_leq(nodes, lhs, rhs, memo)
+        assert terms._free_leq(nodes, rhs, lhs, memo) == (name != "STAR")
 
 
 def test_assignment_guard():
