@@ -251,8 +251,7 @@ def _cmd_retract(ns, inputs):
 
 
 def _cmd_find_pq(ns, inputs):
-    found = [witness_to_json(w) for w in search_pq(limit=ns.limit or None,
-                                                   workers=ns.workers)]
+    found = [witness_to_json(w) for w in search_pq(limit=ns.limit or None)]
     lines = []
     for k, w in enumerate(found):
         lines.append(f"witness {k}:")
@@ -414,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("find-pq", help="search the order completions for separating pairs")
     s.add_argument("--limit", type=_count, default=1,
                    help="witnesses to collect (0 = sweep all completions)")
-    _add_common(s, workers=True)
+    _add_common(s)
     s.set_defaults(func=_cmd_find_pq)
 
     s = subs.add_parser("verify-separation", help="check (*) on Co(P) and Co(Q)")

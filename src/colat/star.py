@@ -119,7 +119,7 @@ def _singleton_assignment(star: Identity, P: Poset, coP, masks):
     return env
 
 
-def search_pq(limit: int | None = None, workers: int = 1) -> list[SeparationWitness]:
+def search_pq(limit: int | None = None) -> list[SeparationWitness]:
     """Sweep the order completions and return the separating pairs.
 
     A completion Q qualifies when Co(P) with P = Q minus c fails (*) at
@@ -129,9 +129,8 @@ def search_pq(limit: int | None = None, workers: int = 1) -> list[SeparationWitn
     list is deterministic.  The Co(Q) verdict is decide_identity's, which
     needs no witness and so never sweeps: all 28 completions take about
     a second, and limit=None returns the four separating pairs, with
-    |Co(Q)| = 40, 45, 45 and 51.  workers is kept for its callers and
-    changes nothing.  An empty result signals a transcription error in
-    the forced relations.
+    |Co(Q)| = 40, 45, 45 and 51.  An empty result signals a
+    transcription error in the forced relations.
     """
     if limit is not None and limit <= 0:
         return []

@@ -23,7 +23,8 @@ visiting the assignments one by one: decide_identity runs a demand
 search (see _Demand) on each inclusion that Whitman's algorithm does not
 already prove for every lattice.  check takes that route first when its
 sweep would need more than one chunk, and stops the search after a state
-budget of total / 1024, under the cost of the sweep it stands in for.
+budget of total / 1024 (the set-up of the minimal join covers is not
+counted, and a search that gives up can roughly double a check).
 When the search finds the identity holds, check returns at once; when it
 fails, or the budget runs out, check sweeps as above.  The sweep alone
 produces witnesses, and every check of at most CHUNK_CELLS assignments
@@ -533,8 +534,9 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
     c = 0
     while n ** (v - c) > CHUNK_CELLS:
         c += 1
-    # a state of the search costs about as much as sweeping 1024 cells or
-    # fewer, so the budget keeps a search that gives up cheaper than the sweep
+    # the budget is total / 1024 pushed states; min_covers set-up is outside
+    # it.  A search that gives up can roughly double a check (D2DUAL on
+    # M_40: 0.038 s against the sweep's 0.018 s); see ROADMAP item 4
     if c and _decide(L, ident, one_sided, total >> 10):
         return CheckResult(ident.name, True, None, total)
     want_eq = ident.relation == "eq" and not one_sided

@@ -328,7 +328,7 @@ def test_09_counterexample_pair(capsys):
     side satisfies it exhaustively."""
 
     def body():
-        witnesses = search_pq(limit=1, workers=WORKERS)
+        witnesses = search_pq(limit=1)
         assert witnesses, "no witness found"
         w = witnesses[0]
         assert len(w.P.labels) == 6 and len(w.Q.labels) == 7

@@ -460,7 +460,7 @@ class TestFindPQ:
     def test_emits_witness(self, capsys, monkeypatch):
         fixture = load_pq_fixture()
         monkeypatch.setattr(cli, "search_pq",
-                            lambda limit, workers: [fixture])
+                            lambda limit: [fixture])
         rc, out, _ = run(capsys, "find-pq")
         assert rc == 0
         assert "witnesses: 1" in out
@@ -468,14 +468,14 @@ class TestFindPQ:
 
     def test_negative_limit(self, capsys, monkeypatch):
         # a negative limit is an input error, not "sweep every completion"
-        monkeypatch.setattr(cli, "search_pq", lambda limit, workers: pytest.fail())
+        monkeypatch.setattr(cli, "search_pq", lambda limit: pytest.fail())
         with pytest.raises(SystemExit) as exc:
             cli.main(["find-pq", "--limit", "-1"])
         assert exc.value.code == 2
         assert "--limit: must be at least 0" in capsys.readouterr().err
 
     def test_none_found(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "search_pq", lambda limit, workers: [])
+        monkeypatch.setattr(cli, "search_pq", lambda limit: [])
         rc, out, _ = run(capsys, "find-pq")
         assert rc == 1
 

@@ -241,7 +241,7 @@ def _record(tmp) -> dict[str, str]:
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(tmp)
-        mp.setattr(cli, "search_pq", lambda limit, workers: [fixture])
+        mp.setattr(cli, "search_pq", lambda limit: [fixture])
         mp.setattr(cli, "verify_separation", separation)
         for argv in ARGVS:
             out[argv] = _run(argv.split())

@@ -4,6 +4,7 @@ The naive pure-python sweep is the reference; the vectorized checker must
 match it bit for bit, including which counter-assignment gets reported.
 """
 
+import collections
 import hashlib
 import itertools
 import json
@@ -255,21 +256,38 @@ def test_workers_do_not_change_result():
 def test_chunked_path_matches_naive(monkeypatch):
     # every other test sweeps fewer than CHUNK_CELLS cells, so in one chunk;
     # these chunk sizes give prefixes of every depth.  A multi-chunk check
-    # tries the demand search first; here it always gives up, so the cases
-    # that hold are swept too
-    monkeypatch.setattr(terms, "_decide", lambda *args: None)
+    # tries the demand search first: the first pass makes it always give
+    # up, so the cases that hold are swept too; the second runs the real
+    # search, whose budget of total >> 10 states is tiny here, so it covers
+    # both the give-up hand-over and the early "holds" return
+    real_decide = terms._decide
     corpus = [L for size in range(1, 5) for L in lattices_of_size(size)]
     corpus += [pentagon(), diamond()]
     cases = [(L, builtin(name)) for L in corpus for name in builtin_names()]
+    # HS fails here, and the search refutes it within its budget of 16
+    cases.append((lattices_of_size(7)[5], builtin("HS")))
     refs = [naive_check(L, ident) for L, ident in cases]
     hs_ref = naive_check(diamond(), builtin("HS"))
-    for cells in (1, 7, 400):
-        monkeypatch.setattr(terms, "CHUNK_CELLS", cells)
-        for (L, ident), ref in zip(cases, refs):
-            got = check(L, ident)
-            assert (got.holds, got.witness) == (ref.holds, ref.witness), (cells, ident.name)
-        got = check(diamond(), builtin("HS"), workers=2)
-        assert not got.holds and got.witness == hs_ref.witness
+    outcomes = collections.Counter()
+
+    def counted(*args):
+        got = real_decide(*args)
+        outcomes[got] += 1
+        return got
+
+    for decide in (lambda *args: None, counted):
+        monkeypatch.setattr(terms, "_decide", decide)
+        for cells in (1, 7, 400):
+            monkeypatch.setattr(terms, "CHUNK_CELLS", cells)
+            for (L, ident), ref in zip(cases, refs):
+                got = check(L, ident)
+                assert (got.holds, got.witness) == (ref.holds, ref.witness), \
+                    (cells, ident.name)
+            got = check(diamond(), builtin("HS"), workers=2)
+            assert not got.holds and got.witness == hs_ref.witness
+    # the real search gave up on some checks, and refuted or proved others
+    # before the sweep ran
+    assert outcomes[None] and outcomes[False] and outcomes[True], outcomes
 
 
 def test_table_dtype_boundary():
