@@ -9,8 +9,10 @@ verdict covers: all of them when the identity holds, whether the sweep
 or the demand search decided it, and those up to and including the
 witness when it fails.  A case's rate is its cells over its median time.
 The cases are E, P, HS and (*) on Co(6), the 22 convex subsets of a
-6-element chain, and (*) on the 45-element Co(Q), which fails (*) and
-stops at its least witness.  A last row times the exhaustive
+6-element chain, which hold; (*), E and HS on the 45-element Co(Q) and
+P, (*), E and HS on the 31-element Co(P), which fail and stop at their
+least witnesses; and D2DUAL on M_40, where the demand search gives up
+and the sweep decides.  A last row times the exhaustive
 ``search_pq(limit=None)`` and lists |Co(Q)| of the pairs it finds.
 OUT.json records the machine (nproc, CPU model, Python and numpy
 versions) and every timing.
@@ -28,12 +30,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from colat import poset, star, terms  # noqa: E402
+from colat import lattice, poset, star, terms  # noqa: E402
 
 REPEAT = 3
 
 # Q is the seven-point poset of the (*) construction with the free relations
-# 0<a, b<3, a<b and c<b added, as in the benchmark's sweep workload
+# 0<a, b<3, a<b and c<b added, as in the benchmark's sweep workload; P is Q
+# without c
 Q_EXTRA = (("0", "a"), ("b", "3"), ("a", "b"), ("c", "b"))
 
 
@@ -64,10 +67,19 @@ def cells(L, result) -> int:
 
 def cases():
     co6 = poset.Poset.chain(6).co_lattice()[0]
-    co_q = poset.Poset.from_covers(star.LABELS, star.FORCED + Q_EXTRA).co_lattice()[0]
+    Q = poset.Poset.from_covers(star.LABELS, star.FORCED + Q_EXTRA)
+    co_q = Q.co_lattice()[0]
+    co_p = Q.restrict([i for i, label in enumerate(Q.labels) if label != "c"]).co_lattice()[0]
+    # M_40: a bottom, 40 atoms and a top
+    m40 = lattice.FinLattice(((1 << 42) - 1,) + tuple(1 << i | 1 << 41 for i in range(1, 41))
+                             + (1 << 41,))
     for name in ("E", "P", "HS", "STAR"):
         yield f"{name}@Co(6)", co6, terms.builtin(name)
-    yield "STAR@Co(Q)", co_q, terms.builtin("STAR")
+    for name in ("STAR", "E", "HS"):
+        yield f"{name}@Co(Q)", co_q, terms.builtin(name)
+    for name in ("P", "STAR", "E", "HS"):
+        yield f"{name}@Co(P)", co_p, terms.builtin(name)
+    yield "D2DUAL@M_40", m40, terms.builtin("D2DUAL")
 
 
 def main() -> int:

@@ -105,8 +105,11 @@ class Poset:
     def co_lattice(self) -> tuple[FinLattice, list[int]]:
         """Lattice of order-convex subsets: meet is intersection, join is
         the convex hull of the union. Returns the lattice and the mask of
-        each element, indexed identically."""
+        each element, indexed identically.  Limited to 256 elements, counted
+        before the n x n tables are built."""
         sets = self.convex_sets()
+        if len(sets) > 256:
+            raise PosetError(f"Co(P) has {len(sets)} elements; limited to 256")
         index = {s: i for i, s in enumerate(sets)}
         n = len(sets)
         up = [0] * n

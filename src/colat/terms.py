@@ -21,14 +21,14 @@ are computed once per check.
 A verdict can also be decided over the join-irreducibles, without
 visiting the assignments one by one: decide_identity runs a demand
 search (see _Demand) on each inclusion that Whitman's algorithm does not
-already prove for every lattice.  check takes that route first when its
-sweep would need more than one chunk, and stops the search after a state
-budget of total / 1024 (the set-up of the minimal join covers is not
-counted, and a search that gives up can roughly double a check).
-When the search finds the identity holds, check returns at once; when it
-fails, or the budget runs out, check sweeps as above.  The sweep alone
-produces witnesses, and every check of at most CHUNK_CELLS assignments
-is swept directly.
+already prove for every lattice.  check runs it first when its sweep
+would need more than one chunk.  "Holds" returns at once; after "fails"
+the search fixes the prefix variables one at a time, skipping each slab
+of assignments it proves clean, until it names the chunk of the least
+witness.  The sweep starts at that chunk, or at the deepest prefix
+reached when the shared budget of total / 1024 states runs out.  The
+sweep alone produces witnesses, and every check of at most CHUNK_CELLS
+assignments is swept directly.
 """
 
 from __future__ import annotations
@@ -520,25 +520,29 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
     sound only when the converse inclusion holds in every lattice, as it
     does for the built-ins.  The reported witness is the lexicographically
     least counter-assignment in the declared variable order, independent
-    of worker count.  A check of more than one chunk first tries the
-    demand search over J(L), which returns the same "holds" result
-    without sweeping.
+    of worker count.  A check of more than one chunk first runs the
+    demand search of _locate, which returns "holds" without sweeping or
+    names the chunk of the least witness; the sweep starts at that chunk,
+    or where the search gave up.  ASSIGNMENT_GUARD then bounds the cells
+    left to sweep, unless force is set or the chunk was named.
     """
     n, v = L.n, len(ident.variables)
     total = n ** v
-    if total > ASSIGNMENT_GUARD and not force:
-        raise TermError(
-            f"assignment space {n}^{v} exceeds {ASSIGNMENT_GUARD}; "
-            "pass force=True to sweep anyway"
-        )
     c = 0
     while n ** (v - c) > CHUNK_CELLS:
         c += 1
-    # the budget is total / 1024 pushed states; min_covers set-up is outside
-    # it.  A search that gives up can roughly double a check (D2DUAL on
-    # M_40: 0.038 s against the sweep's 0.018 s); see ROADMAP item 4
-    if c and _decide(L, ident, one_sided, total >> 10):
+    # every search shares one budget of total / 1024 pushed states, at most
+    # guard / 1024 without force; the min_covers set-up is outside it
+    budget = (total if force else min(total, ASSIGNMENT_GUARD)) >> 10
+    refuted, start = _locate(L, ident, one_sided, budget, c) if c else (None, ())
+    if refuted is False:
         return CheckResult(ident.name, True, None, total)
+    skipped = sum(t * n ** (v - 1 - i) for i, t in enumerate(start))
+    if refuted is None and total - skipped > ASSIGNMENT_GUARD and not force:
+        raise TermError(
+            f"assignment space {n}^{v} exceeds {ASSIGNMENT_GUARD} and the demand "
+            "search gave up; pass force=True to sweep anyway"
+        )
     want_eq = ident.relation == "eq" and not one_sided
     nodes, lhs, rhs = _compile(ident, c, want_eq)
     # n <= 256 keeps every table index i * n + j below 2**16
@@ -556,18 +560,27 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
             values[k] = (plain, plain * n)
     sweep = _Sweep(nodes, lhs, rhs, n, c, v, tables, values, [None] * len(nodes))
     inner_shape = (n,) * (v - c)
-    # results come in prefix order, so the first hit is the least one; a
-    # single prefix (c == 0) is not worth a pool
-    flats = ordered_map(_Sweep.scan, sweep, itertools.product(range(n), repeat=c),
-                        workers if c else 1)
+    # results come in prefix order, so the first hit is the least one; one
+    # chunk (c == 0, or a refutation located) is not worth a pool
+    flats = ordered_map(_Sweep.scan, sweep, _prefixes(n, c, start),
+                        workers if c and refuted is None else 1)
     with closing(flats):
-        for prefix, flat in zip(itertools.product(range(n), repeat=c), flats):
+        for prefix, flat in zip(_prefixes(n, c, start), flats):
             if flat is not None:
                 tail = np.unravel_index(flat, inner_shape) if inner_shape else ()
                 point = prefix + tuple(int(t) for t in tail)
                 return CheckResult(ident.name, False,
                                    dict(zip(ident.variables, point)), total)
     return CheckResult(ident.name, True, None, total)
+
+
+def _prefixes(n: int, c: int, start: tuple = ()):
+    """The c-tuples over range(n) in lexicographic order, from start + (0, ...) on."""
+    if not start:
+        yield from itertools.product(range(n), repeat=c)
+        return
+    yield from (start[:1] + rest for rest in _prefixes(n, c - 1, start[1:]))
+    yield from itertools.product(range(start[0] + 1, n), *[range(n)] * (c - 1))
 
 
 # -- deciding an identity over the join-irreducibles -------------------------------
@@ -624,8 +637,6 @@ class _Demand:
         self.var_nodes = [k for k, node in enumerate(nodes) if node[0] == "var"]
         self.plans: dict[int, list] = {}
         self.covers: dict[int, list] = {}
-        self.base = [L.bottom] * len(nodes)
-        self.update(self.base, -1)
 
     def update(self, values: list, dirty: int) -> None:
         """Recompute, in place, the operation nodes that read a variable in dirty."""
@@ -664,13 +675,20 @@ class _Demand:
             got = self.covers[a] = min_covers(self.L, a)
         return got
 
-    def refutes(self, p: int, q: int) -> bool | None:
-        """Whether p <= q fails; None once the budget runs out."""
+    def refutes(self, p: int, q: int, prefix: tuple = ()) -> bool | None:
+        """Whether p <= q fails at some x that starts with prefix; None once
+        the budget runs out.  The prefix variables start at its values, and
+        a state whose goals would raise one is pruned: on the branch below
+        a failing x every goal on them is already met, so it stays exact.
+        """
         up, jt, nodes = self.L.up, self.L.join_table, self.nodes
+        fixed = (1 << len(prefix)) - 1
+        base = [prefix[vi] if 0 <= vi < len(prefix) else self.L.bottom for _, _, vi, _ in nodes]
+        self.update(base, -1)
         for j in self.L.join_irreducibles:
-            if up[j] >> self.base[q] & 1:
-                continue                  # j <= q(bottom) <= q(x) for every x
-            stack = [(self.base, [(p, j)], ((q, j),))]
+            if up[j] >> base[q] & 1:
+                continue                  # j <= q(base) <= q(x) for every x
+            stack = [(base, [(p, j)], ((q, j),))]
             seen = set()
             while stack:
                 values, goals, bars = stack.pop()
@@ -689,6 +707,8 @@ class _Demand:
                             values = values[:]
                         dirty |= 1 << vi
                         values[k] = jt[values[k]][a]
+                if dirty & fixed:
+                    continue              # a goal would raise a fixed variable
                 if dirty:
                     # a branch's new bars hold at its parent's values, so
                     # only a state that raised a variable can break one
@@ -713,27 +733,43 @@ class _Demand:
         return False
 
 
-def _decide(L: FinLattice, ident: Identity, one_sided: bool, budget) -> bool | None:
-    """Whether ident holds in L, or None when the demand search runs out of budget.
+def _locate(L: FinLattice, ident: Identity, one_sided: bool, budget,
+            depth: int = 0) -> tuple[bool | None, tuple[int, ...]]:
+    """Find with the demand search the slab of ident's least counter-assignment.
 
-    Each inclusion that Whitman's algorithm proves for every lattice is
-    skipped; for E, P, HS and D2DUAL that is rhs <= lhs.
+    A slab is the assignments that start with a prefix.  After "fails" at
+    the root the search descends up to depth variables, at each keeping
+    the first value whose slab it does not prove clean, all on one
+    budget.  Returns (refuted, start): True when the least
+    counter-assignment starts with start, of length depth; False when
+    ident holds; None when the budget runs out.  No assignment before
+    start + (0, ...) fails.  Each inclusion that Whitman's algorithm
+    proves for every lattice is skipped (rhs <= lhs for E, P, HS, D2DUAL).
     """
     nodes, lhs, rhs = _term_nodes(ident.variables, ident.lhs, ident.rhs)
-    sides = [(lhs, rhs)]
-    if ident.relation == "eq" and not one_sided:
-        sides.append((rhs, lhs))
+    pairs = [(lhs, rhs), (rhs, lhs)] if ident.relation == "eq" and not one_sided else [(lhs, rhs)]
     memo: dict = {}
+    sides = [(p, q) for p, q in pairs if not _free_leq(nodes, p, q, memo)]
     search = _Demand(L, nodes, budget)
-    for p, q in sides:
-        if _free_leq(nodes, p, q, memo):
-            continue
-        refuted = search.refutes(p, q)
-        if refuted is None:
-            return None
-        if refuted:
-            return False
-    return True
+
+    def refutes(prefix):
+        for p, q in sides:
+            got = search.refutes(p, q, prefix)
+            if got is not False:
+                return got
+        return False
+
+    refuted, start = refutes(()), ()
+    while refuted and len(start) < depth:
+        for t in range(L.n - 1):
+            refuted = refutes(start + (t,))
+            if refuted is not False:
+                break
+        else:
+            # start's slab fails and every other value's slab was proved clean
+            t, refuted = L.n - 1, True
+        start += (t,)
+    return refuted, start
 
 
 def decide_identity(L: FinLattice, ident: Identity, one_sided: bool = False) -> bool:
@@ -742,7 +778,7 @@ def decide_identity(L: FinLattice, ident: Identity, one_sided: bool = False) -> 
     Gives the verdict of check with one_sided meaning the same; for the
     least counter-assignment, call check.
     """
-    return _decide(L, ident, one_sided, math.inf)
+    return not _locate(L, ident, one_sided, math.inf)[0]
 
 
 # -- semantic interpretations over the join-irreducibles ---------------------------

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from colat import cli
+from colat import cli, terms
 from colat.star import SeparationReport, load_pq_fixture
 from colat.terms import CheckResult
 from colat.poset import poset_to_json
@@ -65,6 +65,14 @@ class TestCoAndCatalog:
         rc, out, _ = run(capsys, "co", str(path))
         assert rc == 0
         assert json.loads(out)["size"] == 4
+
+    def test_co_poset_beyond_bound(self, tmp_path, capsys):
+        # a 9-element antichain has 512 convex sets, over the 256 bound
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"elements": list("abcdefghi"), "covers": []}))
+        rc, out, err = run(capsys, "co", str(path))
+        assert (rc, out) == (2, "")
+        assert err == "error: Co(P) has 512 elements; limited to 256\n"
 
     def test_co_stdin(self, capsys, monkeypatch):
         payload = json.dumps({"elements": ["x"], "covers": []})
@@ -172,13 +180,24 @@ class TestCheck:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err and "Traceback" not in err
 
-    def test_guard_refuses_large_sweep(self, tmp_path, capsys):
+    def test_guard_refuses_large_sweep(self, tmp_path, capsys, monkeypatch):
+        # the guard applies once the demand search gives up, made to here
+        monkeypatch.setattr(terms._Demand, "refutes", lambda *args: None)
         rc, out, _ = run(capsys, "co", "10")
         big = tmp_path / "co10.json"
         big.write_text(out)
         rc, _, err = run(capsys, "check", "--identity", "STAR", str(big))
         assert rc == 2
         assert "force" in err
+
+    def test_search_settles_large_check(self, tmp_path, capsys):
+        # 56^6 assignments, beyond the guard, but the demand search
+        # proves (*) without sweeping, so no --force is needed
+        rc, out, _ = run(capsys, "co", "10")
+        big = tmp_path / "co10.json"
+        big.write_text(out)
+        rc, out, err = run(capsys, "check", "--identity", "STAR", str(big))
+        assert (rc, out, err) == (0, f"STAR: holds ({56 ** 6} assignments)\n", "")
 
     def test_workers_byte_identical(self, tmp_path, capsys):
         rc, out, _ = run(capsys, "co", "6")

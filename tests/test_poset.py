@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from colat.lattice import FinLattice, LatticeError, iter_lattices
+from colat import poset
 from colat.poset import Poset, PosetError, poset_from_json, poset_to_json
 
 
@@ -54,6 +55,15 @@ def test_two_antichain_gives_boolean_square():
     L, _ = Poset.antichain(2).co_lattice()
     assert L.n == 4
     assert L.join_table[1][2] == 3 and L.meet_table[1][2] == 0
+
+
+def test_co_lattice_bound(monkeypatch):
+    # 2^8 convex sets build; 2^9 and 2^16 are refused before any table
+    assert Poset.antichain(8).co_lattice()[0].n == 256
+    monkeypatch.setattr(poset, "FinLattice", None)
+    for n in (9, 16):
+        with pytest.raises(PosetError, match=f"has {2 ** n} elements; limited to 256"):
+            Poset.antichain(n).co_lattice()
 
 
 def test_hull_is_least_convex_superset():

@@ -8,6 +8,7 @@ import collections
 import hashlib
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from colat.lattice import (
     structural_predicates,
 )
 from colat.poset import Poset
-from colat import terms
+from colat import star, terms
 from colat.terms import (
     CheckResult,
     Identity,
@@ -253,14 +254,26 @@ def test_workers_do_not_change_result():
             assert (one.holds, one.witness) == (many.holds, many.witness)
 
 
+def located_before(located, ref) -> bool:
+    """Whether _locate's (refuted, start) agrees with the least witness:
+    none lies before start + (0, ...), and a refutation names its prefix."""
+    refuted, start = located
+    if ref.holds:
+        return refuted is not True
+    witness = tuple(ref.witness.values())
+    return witness >= start and (not refuted or witness[:len(start)] == start)
+
+
 def test_chunked_path_matches_naive(monkeypatch):
     # every other test sweeps fewer than CHUNK_CELLS cells, so in one chunk;
     # these chunk sizes give prefixes of every depth.  A multi-chunk check
-    # tries the demand search first: the first pass makes it always give
-    # up, so the cases that hold are swept too; the second runs the real
-    # search, whose budget of total >> 10 states is tiny here, so it covers
-    # both the give-up hand-over and the early "holds" return
-    real_decide = terms._decide
+    # runs the slab search (_Demand.refutes) first, at the root and then
+    # one prefix variable deeper at a time.  Each pass below hands over to
+    # the sweep at another point: a forced give-up at one depth (depth 0
+    # sweeps every case), the real budget of total >> 10 states, which is
+    # tiny here, or no budget at all, so that every refutation descends to
+    # a single chunk and every holding case returns before the sweep
+    real_refutes, real_locate = terms._Demand.refutes, terms._locate
     corpus = [L for size in range(1, 5) for L in lattices_of_size(size)]
     corpus += [pentagon(), diamond()]
     cases = [(L, builtin(name)) for L in corpus for name in builtin_names()]
@@ -269,25 +282,87 @@ def test_chunked_path_matches_naive(monkeypatch):
     refs = [naive_check(L, ident) for L, ident in cases]
     hs_ref = naive_check(diamond(), builtin("HS"))
     outcomes = collections.Counter()
+    gave_up = set()
+    located = []
 
-    def counted(*args):
-        got = real_decide(*args)
-        outcomes[got] += 1
-        return got
+    def locate(L, ident, one_sided, budget, depth=0):
+        located.append(real_locate(L, ident, one_sided, budget if real_budget else math.inf,
+                                   depth))
+        return located[-1]
 
-    for decide in (lambda *args: None, counted):
-        monkeypatch.setattr(terms, "_decide", decide)
+    for give_up, real_budget in [(0, True), (None, True), (None, False)] + [
+            (d, False) for d in range(1, 6)]:
+        def refutes(self, p, q, prefix=(), give_up=give_up):
+            if len(prefix) == give_up:
+                gave_up.add(give_up)
+                return None
+            got = real_refutes(self, p, q, prefix)
+            outcomes[min(len(prefix), 1), got] += 1
+            return got
+
+        monkeypatch.setattr(terms._Demand, "refutes", refutes)
+        monkeypatch.setattr(terms, "_locate", locate)
         for cells in (1, 7, 400):
             monkeypatch.setattr(terms, "CHUNK_CELLS", cells)
             for (L, ident), ref in zip(cases, refs):
+                located.clear()
                 got = check(L, ident)
                 assert (got.holds, got.witness) == (ref.holds, ref.witness), \
-                    (cells, ident.name)
+                    (give_up, cells, ident.name)
+                assert not located or located_before(located[0], ref)
             got = check(diamond(), builtin("HS"), workers=2)
             assert not got.holds and got.witness == hs_ref.witness
-    # the real search gave up on some checks, and refuted or proved others
-    # before the sweep ran
-    assert outcomes[None] and outcomes[False] and outcomes[True], outcomes
+    # a forced give-up at every depth (the failing cases have at most five
+    # variables); the real search gave up, proved a check or a slab clean,
+    # and refuted, each at the root and deeper
+    assert gave_up == set(range(6)), gave_up
+    assert all(outcomes[key] for key in itertools.product((0, 1), (None, False, True))), outcomes
+
+
+def test_sweep_prefixes_start_where_asked():
+    # the sweep's chunk prefixes: every c-tuple from start + (0, ...) on
+    for n, c in ((1, 2), (3, 3), (4, 2)):
+        every = list(itertools.product(range(n), repeat=c))
+        for start in [()] + [p[:d] for p in every for d in range(1, c + 1)]:
+            assert list(terms._prefixes(n, c, start)) == [p for p in every if p >= start]
+
+
+# Q is the seven-point poset of the (*) construction with 0<a, b<3, a<b and
+# c<b added, and P is Q without c; all seven checks fail, each in one chunk
+CO_P_Q_WITNESSES = [
+    ("Q", "STAR", (1, 2, 4, 5, 7, 12)),
+    ("Q", "E", (2, 1, 4, 4, 12)),
+    ("Q", "HS", (2, 4, 1, 5, 7)),
+    ("P", "P", (2, 4, 1, 15, 1, 6)),
+    ("P", "STAR", (1, 2, 4, 6, 8, 15)),
+    ("P", "E", (2, 1, 4, 4, 15)),
+    ("P", "HS", (2, 4, 1, 6, 8)),
+]
+
+
+def test_least_witnesses_on_co_p_and_co_q(monkeypatch):
+    Q = Poset.from_covers(star.LABELS, star.FORCED + (("0", "a"), ("b", "3"),
+                                                      ("a", "b"), ("c", "b")))
+    P = Q.restrict([i for i, label in enumerate(Q.labels) if label != "c"])
+    co = {"P": P.co_lattice()[0], "Q": Q.co_lattice()[0]}
+    assert (co["P"].n, co["Q"].n) == (31, 45)
+    real_locate = terms._locate
+    located = []
+
+    def locate(L, ident, one_sided, budget, depth=0):
+        located.append(real_locate(L, ident, one_sided, budget >> shift, depth))
+        return located[-1]
+
+    # the default budget of total >> 10 states locates every witness's
+    # chunk; at total >> 20 some searches give up after descending
+    monkeypatch.setattr(terms, "_locate", locate)
+    for shift in (0, 10):
+        for lattice, name, witness in CO_P_Q_WITNESSES:
+            got = check(co[lattice], builtin(name), force=True)
+            assert not got.holds and tuple(got.witness.values()) == witness, name
+            assert located_before(located[-1], got)
+    assert all(refuted for refuted, _ in located[:7]), located
+    assert any(refuted is None and start for refuted, start in located[7:]), located
 
 
 def test_table_dtype_boundary():
@@ -397,8 +472,8 @@ def test_decide_identity_matches_sweep_on_products(monkeypatch):
     products = [direct_product(co_chain(3), co_chain(3)), direct_product(pentagon(), pentagon())]
     verdicts = [decide_identity(L, ident) for L in products]
     # the 49-element sweep takes several chunks, so check would try the
-    # search first; switched off, check sweeps every assignment
-    monkeypatch.setattr(terms, "_decide", lambda *args: None)
+    # search first; made to give up, check sweeps every assignment
+    monkeypatch.setattr(terms._Demand, "refutes", lambda *args: None)
     assert verdicts == [check(L, ident).holds for L in products]
 
 
@@ -413,11 +488,15 @@ def test_free_lattice_side_is_skipped():
         assert terms._free_leq(nodes, rhs, lhs, memo) == (name != "STAR")
 
 
-def test_assignment_guard():
+def test_assignment_guard(monkeypatch):
+    # the guard applies once the search gives up; here it refutes "wide"
+    # and names its one chunk, so the check runs unguarded
     L = co_chain(4)
     wide = Identity("wide", tuple(f"x{i}" for i in range(9)), "eq",
                     join(*(var(f"x{i}") for i in range(9))),
                     join(*(var(f"x{i}") for i in range(8)), var("x0")))
+    assert check(L, wide) == naive_check(L, wide)
+    monkeypatch.setattr(terms._Demand, "refutes", lambda *args: None)
     with pytest.raises(TermError):
         check(L, wide)
 
