@@ -8,6 +8,7 @@ is the same one a serial run finds.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 
 _SHARED = None
@@ -23,19 +24,58 @@ def _call(item):
     return fn(shared, item)
 
 
+def _serve(conn, fn, shared) -> None:
+    """Worker loop: answer each item from conn, in order, until it closes."""
+    _init(fn, shared)
+    while True:
+        try:
+            item = conn.recv()
+        except EOFError:
+            return
+        try:
+            conn.send((True, _call(item)))
+        except Exception as exc:
+            conn.send((False, exc))
+
+
 def ordered_map(fn, shared, items, workers: int):
     """Yield fn(shared, item) for each item, in item order.
 
-    With workers <= 1 the calls run here, one by one.  Otherwise a fork
-    pool of that many processes runs them; fn and shared reach the
-    workers through the fork rather than by pickling, and only items and
-    results cross the pipe.  Closing the generator early, as a caller
-    that stops at its first hit does, terminates the pool.
+    With workers <= 1 the calls run here, one by one.  Otherwise that
+    many forked workers run them; fn and shared reach the workers through
+    the fork rather than by pickling.  Item i goes to worker i % workers
+    over its own pipe, at most two items per worker ahead of the result
+    awaited.  Closing the generator early, as a caller that stops at its
+    first hit does, terminates the workers.  No lock or queue is shared,
+    so a worker terminated mid-send cannot leave one held, as it can
+    under multiprocessing.Pool.terminate.
     """
     if workers <= 1:
         for item in items:
             yield fn(shared, item)
         return
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_init, initargs=(fn, shared)) as pool:
-        yield from pool.imap(_call, items, chunksize=1)
+    pipes, procs = [], []
+    try:
+        for _ in range(workers):
+            here, there = ctx.Pipe()
+            procs.append(ctx.Process(target=_serve, args=(there, fn, shared), daemon=True))
+            procs[-1].start()
+            there.close()
+            pipes.append(here)
+        items, sent = iter(items), 0
+        for done in itertools.count():
+            for item in itertools.islice(items, done + 2 * workers - sent):
+                pipes[sent % workers].send(item)
+                sent += 1
+            if done == sent:
+                return
+            ok, got = pipes[done % workers].recv()
+            if not ok:
+                raise got
+            yield got
+    finally:
+        for here, proc in zip(pipes, procs):
+            here.close()
+            proc.terminate()
+            proc.join()
