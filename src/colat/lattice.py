@@ -212,6 +212,25 @@ class FinLattice:
         meet = np.array(self.meet_table, dtype=np.int32)
         return join.ravel(), meet.ravel()
 
+    @cached_property
+    def np_join_closure(self):
+        """(down_j, closure): bit i of down_j[e] is set iff join_irreducibles[i]
+        <= e, and closure[S] is down_j of the join of the join-irreducibles
+        in S, so x ^ y is down_j[x] & down_j[y] and x v y is
+        closure[down_j[x] | down_j[y]].  closure has 2^|J| entries.
+        """
+        import numpy as np
+
+        jis = self.join_irreducibles
+        dtype = np.min_scalar_type((1 << len(jis)) - 1)
+        down_j = np.array([sum(1 << i for i, j in enumerate(jis) if self.up[j] >> e & 1)
+                           for e in range(self.n)], dtype=dtype)
+        # elems[S] is the join of the join-irreducibles in S, one bit per step
+        join, elems = self.np_tables[0], np.array([self.bottom])
+        for j in jis:
+            elems = np.concatenate((elems, join[elems * self.n + j]))
+        return down_j, down_j[elems]
+
 
 # -- structure predicates --------------------------------------------------
 

@@ -8,15 +8,14 @@ variable order, so the first reported counter-assignment is always the
 lexicographically least one regardless of worker count.
 
 Within a chunk the inner variables are broadcast numpy axes.  The two
-compared terms share one node list; a node that reads only prefix
-variables is a Python int, folded through the lattice's row tables, and
-the others are arrays looked up in flat join and meet tables (uint16
-when n <= 256).  Each array node is made in the form its consumers
-take: premultiplied by n as the left operand of a lookup, so a binary
-operation is one add and one take, or plain; a prefix scalar operand
-selects a table row instead.  An array node is recomputed only when the
-prefix values it reads change, so nodes that read no prefix variable
-are computed once per check.
+compared terms share one node list over an injective encoding of the
+elements (see _encoding): with at most 16 join-irreducibles, bitmasks of
+the join-irreducibles below, so a meet is an AND and a join of any arity
+an OR and one closure lookup; with more, element indices looked up in
+flat tables.  A node that reads only prefix variables is a scalar that
+broadcasts; the others are arrays, each recomputed only when the prefix
+values it reads change, so nodes that read no prefix variable are
+computed once per check.
 
 A verdict can also be decided over the join-irreducibles, without
 visiting the assignments one by one: decide_identity runs a demand
@@ -36,6 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -413,37 +413,22 @@ def _term_nodes(variables, lhs: Term, rhs: Term):
 def _compile(ident: Identity, n_prefix: int, want_eq: bool):
     """CSE the compared terms into one topologically sorted node list.
 
-    A node is (kind, vi, scalars, arrays, keyvars, plain, pre).  A
-    variable node carries its index vi.  An operation splits its children
-    into scalars, which read prefix variables only and fold to one int,
-    and arrays, ordered by how many inner variables they read so that
-    the accumulator widens last.  keyvars lists the prefix variables an
-    array node reads, and is None for a scalar.  plain and pre say which
-    forms of an array node its consumers take: plain values, or values
-    premultiplied by n as the left operand of a table lookup.  The sweep
-    compares the plain values of the two indices returned with the list:
-    lhs and rhs for "eq", lhs v rhs and rhs for "leq".
+    A node is (kind, vi, kids, keyvars).  A variable node carries its
+    index vi.  An operation lists its children by how many inner
+    variables they read, so that scalars, which read prefix variables
+    only, fold first and the accumulator widens last.  keyvars lists the
+    prefix variables a node reads if it reads an inner one too, and is
+    None for a scalar.  The sweep compares the two indices returned with
+    the list: lhs and rhs for "eq", lhs v rhs and rhs for "leq".
     """
     top = ident.lhs if want_eq else join(ident.lhs, ident.rhs)
     terms, rhs, lhs = _term_nodes(ident.variables, ident.rhs, top)
     # how many inner variables each node reads
     ranks = [(support >> n_prefix).bit_count() for *_, support in terms]
-    nodes = []
-    for kind, kids, vi, _ in terms:
-        arrays = sorted((k for k in kids if ranks[k]), key=ranks.__getitem__)
-        nodes.append((kind, vi, tuple(k for k in kids if not ranks[k]), tuple(arrays)))
-    plain, pre = {lhs, rhs}, set()
-    for _, _, scalars, arrays in nodes:
-        if arrays and not scalars:
-            pre.add(arrays[0])
-            plain.update(arrays[1:])
-        else:
-            # the first array is read through the row of the folded scalars
-            plain.update(arrays)
     return [
-        (*node, tuple(i for i in range(n_prefix) if terms[k][3] >> i & 1) if ranks[k] else None,
-         k in plain, k in pre)
-        for k, node in enumerate(nodes)
+        (kind, vi, tuple(sorted(kids, key=ranks.__getitem__)),
+         tuple(i for i in range(n_prefix) if support >> i & 1) if ranks[k] else None)
+        for k, (kind, kids, vi, support) in enumerate(terms)
     ], lhs, rhs
 
 
@@ -451,65 +436,50 @@ def _compile(ident: Identity, n_prefix: int, want_eq: bool):
 class _Sweep:
     """Everything a chunk scan needs; one instance per check call.
 
-    values holds each node's value for the last prefix scanned: an int
-    for a scalar, else a (plain, premultiplied) pair of arrays with None
-    for a form no consumer takes.  keys holds the prefix values each
-    array node was computed for; a node is recomputed only when they
-    change, so a node that reads no prefix variable is computed once per
-    call.  The cache is keyed by value, so a worker that scans prefixes
-    out of order still reads the right arrays.  Cached arrays are never
-    written to.
+    codes and ops are those of _encoding: an operation folds its kids'
+    codes with combine, then applies finish if any.  values holds each
+    node's codes for the last prefix scanned: an int for a scalar, else
+    an array that broadcasts to shape, the inner axes.  keys holds the
+    prefix values each array node was computed for; a node is recomputed
+    only when they change, so a node that reads no prefix variable is
+    computed once per call.  The cache is keyed by value, so a worker
+    that scans prefixes out of order still reads the right arrays.
+    Cached arrays are never written to.
     """
 
     nodes: list
     lhs: int
     rhs: int
-    n: int
-    n_prefix: int
-    n_vars: int
-    tables: dict
+    shape: tuple
+    codes: list
+    ops: dict
     values: list
     keys: list
 
     def scan(self, prefix: tuple[int, ...]):
         """First violating inner index in C order, or None."""
-        n, values, keys = self.n, self.values, self.keys
-        for k, (kind, vi, scalars, arrays, keyvars, want_plain, want_pre) in enumerate(self.nodes):
+        values, keys = self.values, self.keys
+        for k, (kind, vi, kids, keyvars) in enumerate(self.nodes):
             if kind == "var":
                 if keyvars is None:
-                    values[k] = prefix[vi]
+                    values[k] = self.codes[prefix[vi]]
                 continue
             if keyvars is not None:
                 key = tuple(map(prefix.__getitem__, keyvars))
                 if keys[k] == key:
                     continue
                 keys[k] = key
-            rows, flat, flat_pre = self.tables[kind]
-            if scalars:
-                s = values[scalars[0]]
-                for j in scalars[1:]:
-                    s = rows[s][values[j]]
-                if not arrays:
-                    values[k] = s
-                    continue
-                table, table_pre = flat[s * n:(s + 1) * n], flat_pre[s * n:(s + 1) * n]
-                idx, rest = values[arrays[0]][0], arrays[1:]
-            else:
-                table, table_pre = flat, flat_pre
-                idx, rest = values[arrays[0]][1] + values[arrays[1]][0], arrays[2:]
-            for j in rest:
-                idx = table_pre.take(idx) + values[j][0]
-                table, table_pre = flat, flat_pre
-            values[k] = (table.take(idx) if want_plain else None,
-                         table_pre.take(idx) if want_pre else None)
-        lv, rv = values[self.lhs], values[self.rhs]
-        mask = np.not_equal(lv[0] if type(lv) is tuple else lv, rv[0] if type(rv) is tuple else rv)
-        inner = self.n_vars - self.n_prefix
-        if inner == 0:
+            combine, finish = self.ops[kind]
+            acc = values[kids[0]]
+            for j in kids[1:]:
+                acc = combine(acc, values[j])
+            values[k] = finish(acc) if finish else acc
+        mask = np.not_equal(values[self.lhs], values[self.rhs])
+        if not self.shape:
             return 0 if mask else None
         if not mask.any():
             return None
-        return int(np.argmax(np.broadcast_to(mask, (n,) * inner)))
+        return int(np.argmax(np.broadcast_to(mask, self.shape)))
 
 
 def check(L: FinLattice, ident: Identity, workers: int = 1,
@@ -545,21 +515,15 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
         )
     want_eq = ident.relation == "eq" and not one_sided
     nodes, lhs, rhs = _compile(ident, c, want_eq)
-    # n <= 256 keeps every table index i * n + j below 2**16
-    dtype = np.uint16 if n <= 256 else np.int32
-    tables = {}
-    for kind, rows, flat in zip(("join", "meet"), (L.join_table, L.meet_table), L.np_tables):
-        flat = flat.astype(dtype)
-        tables[kind] = (rows, flat, flat * n)
+    codes, ops = _encoding(L)
     values: list = [None] * len(nodes)
-    for k, (kind, vi, _, _, keyvars, _, _) in enumerate(nodes):
+    for k, (kind, vi, _, keyvars) in enumerate(nodes):
         if kind == "var" and keyvars is not None:
             shape = [1] * (v - c)
             shape[vi - c] = n
-            plain = np.arange(n, dtype=dtype).reshape(shape)
-            values[k] = (plain, plain * n)
-    sweep = _Sweep(nodes, lhs, rhs, n, c, v, tables, values, [None] * len(nodes))
+            values[k] = codes.reshape(shape)
     inner_shape = (n,) * (v - c)
+    sweep = _Sweep(nodes, lhs, rhs, inner_shape, codes.tolist(), ops, values, [None] * len(nodes))
     # results come in prefix order, so the first hit is the least one; one
     # chunk (c == 0, or a refutation located) is not worth a pool
     flats = ordered_map(_Sweep.scan, sweep, _prefixes(n, c, start),
@@ -572,6 +536,23 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
                 return CheckResult(ident.name, False,
                                    dict(zip(ident.variables, point)), total)
     return CheckResult(ident.name, True, None, total)
+
+
+def _encoding(L: FinLattice):
+    """The element codes of a sweep over L and its (combine, finish) pairs.
+
+    With at most 16 join-irreducibles an element is the mask of those
+    below it (L.np_join_closure); otherwise it is its index, and an
+    operation looks up a flat table at a * n + b.
+    """
+    if len(L.join_irreducibles) <= 16:
+        codes, closure = L.np_join_closure
+        return codes, {"meet": (operator.and_, None), "join": (operator.or_, closure.take)}
+    # n <= 256 keeps every table index a * n + b below 2**16
+    n, dtype = L.n, np.uint16 if L.n <= 256 else np.int32
+    return np.arange(n, dtype=dtype), {
+        kind: (lambda a, b, flat=flat.astype(dtype): flat.take(a * n + b), None)
+        for kind, flat in zip(("join", "meet"), L.np_tables)}
 
 
 def _prefixes(n: int, c: int, start: tuple = ()):

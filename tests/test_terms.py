@@ -10,11 +10,13 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colat.lattice import (
+    FinLattice,
     direct_product,
     iter_lattices,
     lattice_from_json,
@@ -49,7 +51,6 @@ from colat.terms import (
 
 def chain_lattice(n):
     up = tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n))
-    from colat.lattice import FinLattice
     return FinLattice(up)
 
 
@@ -378,6 +379,43 @@ def test_table_dtype_boundary():
             got = check(L, ident)
             assert ref.holds == holds
             assert (got.holds, got.witness) == (ref.holds, ref.witness)
+
+
+def test_sweep_encoding_boundaries(monkeypatch):
+    # a chain of n elements has n - 1 join-irreducibles: 8 is the last
+    # count with uint8 masks, 16 the last with masks at all, and from 17
+    # on the sweep runs over element indices
+    x, y, z = var("x"), var("y"), var("z")
+    modular = Identity("modular", ("x", "y", "z"), "eq", meet(x, join(y, meet(x, z))),
+                       join(meet(x, y), meet(x, z)))
+    distributive = Identity("distributive", ("x", "y", "z"), "eq", meet(x, join(y, z)),
+                            join(meet(x, y), meet(x, z)))
+    below = Identity("below", ("x", "y"), "leq", join(x, y), x)
+    lattices = [chain_lattice(n) for n in (9, 10, 17, 18)]
+    # M_17, a bottom, 17 atoms and a top: modular, not distributive
+    lattices.append(FinLattice(((1 << 19) - 1,) + tuple(1 << i | 1 << 18 for i in range(1, 18))
+                               + (1 << 18,)))
+    encodings = []
+    for L in lattices:
+        codes, ops = terms._encoding(L)
+        encodings.append((len(L.join_irreducibles), codes.dtype, ops["join"][1] is not None))
+    assert encodings == [(8, np.uint8, True), (9, np.uint16, True), (16, np.uint16, True),
+                         (17, np.uint16, False), (17, np.uint16, False)]
+    refs = {(L.n, ident.name): naive_check(L, ident) for L in lattices
+            for ident in (modular, distributive, below)}
+    assert [ref.holds for ref in refs.values()] == [True, True, False] * 4 + [True, False, False]
+    for L in lattices:
+        for ident in (modular, distributive, below):
+            got = check(L, ident)
+            assert got == refs[L.n, ident.name], (L.n, ident.name)
+    # chunked and pooled sweeps of element indices, with the prefix-keyed
+    # node cache: the demand search gives up, so every chunk is swept
+    monkeypatch.setattr(terms._Demand, "refutes", lambda *args: None)
+    monkeypatch.setattr(terms, "CHUNK_CELLS", 19)
+    for ident in (modular, distributive):
+        for workers in (1, 2):
+            got = check(lattices[-1], ident, workers=workers)
+            assert got == refs[19, ident.name], (ident.name, workers)
 
 
 def test_one_sided_matches_naive_on_small_corpus():
