@@ -392,18 +392,19 @@ def _term_nodes(variables, lhs: Term, rhs: Term):
     indices of lhs and rhs.
     """
     order = {name: i for i, name in enumerate(variables)}
-    index: dict[Term, int] = {}
+    # keyed by child indices, not by Term: a Term's hash walks its subtree
+    index: dict[tuple, int] = {}
     nodes: list[tuple] = []
 
     def visit(t: Term) -> int:
-        got = index.get(t)
+        kids = tuple(visit(c) for c in t.children)
+        got = index.get((t.kind, t.name, kids))
         if got is None:
-            kids = tuple(visit(c) for c in t.children)
             vi = order[t.name] if t.kind == "var" else -1
             support = 1 << vi if vi >= 0 else 0
             for c in kids:
                 support |= nodes[c][3]
-            got = index[t] = len(nodes)
+            got = index[t.kind, t.name, kids] = len(nodes)
             nodes.append((t.kind, kids, vi, support))
         return got
 
@@ -539,11 +540,9 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
 
 
 def _encoding(L: FinLattice):
-    """The element codes of a sweep over L and its (combine, finish) pairs.
-
-    With at most 16 join-irreducibles an element is the mask of those
-    below it (L.np_join_closure); otherwise it is its index, and an
-    operation looks up a flat table at a * n + b.
+    """The element codes of a sweep over L and its (combine, finish) pairs:
+    with at most 16 join-irreducibles the masks of L.np_join_closure,
+    otherwise element indices into flat tables at a * n + b.
     """
     if len(L.join_irreducibles) <= 16:
         codes, closure = L.np_join_closure
