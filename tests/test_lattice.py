@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -325,6 +327,18 @@ def test_lattice_counts_six_seven():
     # frozen from the enumerator after cross-checking sizes 1..5 above
     assert len(lattices_of_size(6)) == 15
     assert len(lattices_of_size(7)) == 53
+
+
+# sha256 of the compact JSON list of up-set tuples of lattices_of_size(n) for
+# n = 1..9, recorded from the deduplicating enumerator; pins the order that
+# the pinned map, dependency, term and paper-claim tests rely on
+ENUMERATION_UP_TO_9 = "31a24a2796ea033f1384ea4f13293e624c21aa57040c520f2067420e54f8bc8e"
+
+
+def test_enumeration_pinned_up_to_nine():
+    ups = [[list(L.up) for L in lattices_of_size(n)] for n in range(1, 10)]
+    text = json.dumps(ups, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_UP_TO_9
 
 
 def test_enumerated_lattices_are_pairwise_non_isomorphic():
