@@ -341,8 +341,9 @@ def test_enumeration_pinned_up_to_nine():
     assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_UP_TO_9
 
 
-def test_enumerated_lattices_are_pairwise_non_isomorphic():
-    ls = lattices_of_size(5)
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_enumerated_lattices_are_pairwise_non_isomorphic(n):
+    ls = lattices_of_size(n)
     for i in range(len(ls)):
         for j in range(i + 1, len(ls)):
             assert find_isomorphism(ls[i], ls[j]) is None

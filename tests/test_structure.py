@@ -10,11 +10,11 @@ SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "colat")
 
 
 def test_bit_loop_only_in_bits_and_hot_loops():
-    # bits() in lattice.py, plus the inline copies kept in _extreme_of,
-    # the down-closure test of _lattice_extensions and _canonical_key
+    # bits() in lattice.py, plus the inline copy kept in _extreme_of, the
+    # inner loop of every join and meet table
     counts = {p.name: p.read_text().count("bit_length() - 1") for p in SOURCES}
-    assert sum(counts.values()) == 4, counts
-    assert counts["lattice.py"] == 4
+    assert sum(counts.values()) == 2, counts
+    assert counts["lattice.py"] == 2
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
