@@ -1,21 +1,19 @@
-"""Identity micro benchmark: cells per second of terms.check on fixed cases.
+"""Micro benchmark: wall time of identity checks, enumeration and search_pq.
 
     python3 bench/run.py OUT.json
 
 Run it from the repository root; it imports colat from ./src and needs
-nothing else outside the standard library.  Each case runs ``check`` with
-one worker REPEAT times.  The cells of a case are the assignments its
-verdict covers: all of them when the identity holds, whether the sweep
-or the demand search decided it, and those up to and including the
-witness when it fails.  A case's rate is its cells over its median time.
-The cases are E, P, HS and (*) on Co(6), the 22 convex subsets of a
-6-element chain, which hold; (*), E and HS on the 45-element Co(Q) and
-P, (*), E and HS on the 31-element Co(P), which fail and stop at their
-least witnesses; and D2DUAL on M_40, where the demand search gives up
-and the sweep decides.  A last row times the exhaustive
-``search_pq(limit=None)`` and lists |Co(Q)| of the pairs it finds.
-OUT.json records the machine (nproc, CPU model, Python and numpy
-versions) and every timing.
+nothing else outside the standard library.  Each row runs its call
+REPEAT times and records every time and the median.  The identity rows
+run ``check`` with one worker and record the verdict: E, P, HS and (*)
+on Co(6), the 22 convex subsets of a 6-element chain, which hold; (*),
+E and HS on the 45-element Co(Q) and P, (*), E and HS on the 31-element
+Co(P), which fail and stop at their least witnesses; and D2DUAL on
+M_40, where the demand search gives up and the sweep decides.  Two rows
+time ``lattices_of_size`` at sizes 8 and 9 and record the lattice
+counts.  A last row times the exhaustive ``search_pq(limit=None)`` and
+lists |Co(Q)| of the pairs it finds.  OUT.json records the machine
+(nproc, CPU model, Python and numpy versions) and every timing.
 """
 
 import importlib.metadata
@@ -56,15 +54,6 @@ def machine() -> dict:
     }
 
 
-def cells(L, result) -> int:
-    if result.holds:
-        return result.assignments
-    rank = 0
-    for v in result.witness.values():
-        rank = rank * L.n + v
-    return rank + 1
-
-
 def cases():
     co6 = poset.Poset.chain(6).co_lattice()[0]
     Q = poset.Poset.from_covers(star.LABELS, star.FORCED + Q_EXTRA)
@@ -82,6 +71,17 @@ def cases():
     yield "D2DUAL@M_40", m40, terms.builtin("D2DUAL")
 
 
+def timed(call):
+    """The last result of call() over REPEAT runs, its times and their median."""
+    seconds = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        result = call()
+        seconds.append(time.perf_counter() - start)
+    median = statistics.median(seconds)
+    return result, {"seconds": [round(s, 4) for s in seconds], "median_s": round(median, 4)}
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print("usage: python3 bench/run.py OUT.json", file=sys.stderr)
@@ -89,38 +89,18 @@ def main() -> int:
     out = Path(sys.argv[1])
     rows = []
     for name, L, ident in cases():
-        seconds = []
-        for _ in range(REPEAT):
-            start = time.perf_counter()
-            result = terms.check(L, ident, force=True)
-            seconds.append(time.perf_counter() - start)
-        median = statistics.median(seconds)
-        row = {
-            "case": name,
-            "n": L.n,
-            "vars": len(ident.variables),
-            "holds": result.holds,
-            "cells": cells(L, result),
-            "seconds": [round(s, 4) for s in seconds],
-            "median_s": round(median, 4),
-        }
-        row["cells_per_s"] = round(row["cells"] / median)
-        rows.append(row)
-        print(f"{name:12s} n={L.n:2d} cells={row['cells']:>13,d} "
-              f"median={median:7.3f} s  {row['cells_per_s']:>13,d} cells/s")
-    seconds = []
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        found = star.search_pq(limit=None)
-        seconds.append(time.perf_counter() - start)
-    median = statistics.median(seconds)
-    rows.append({
-        "case": "search_pq(limit=None)",
-        "pairs": [w.Q.co_lattice()[0].n for w in found],
-        "seconds": [round(s, 4) for s in seconds],
-        "median_s": round(median, 4),
-    })
-    print(f"{'search_pq':12s} pairs={rows[-1]['pairs']} median={median:7.3f} s")
+        result, times = timed(lambda: terms.check(L, ident, force=True))
+        rows.append({"case": name, "n": L.n, "vars": len(ident.variables),
+                     "holds": result.holds, **times})
+        print(f"{name:12s} n={L.n:2d} holds={result.holds!s:5s} median={times['median_s']:7.3f} s")
+    for n in (8, 9):
+        found, times = timed(lambda: lattice.lattices_of_size(n))
+        rows.append({"case": f"lattices_of_size({n})", "lattices": len(found), **times})
+        print(f"{rows[-1]['case']:20s} lattices={len(found):5d} median={times['median_s']:7.3f} s")
+    found, times = timed(lambda: star.search_pq(limit=None))
+    rows.append({"case": "search_pq(limit=None)",
+                 "pairs": [w.Q.co_lattice()[0].n for w in found], **times})
+    print(f"{'search_pq':12s} pairs={rows[-1]['pairs']} median={times['median_s']:7.3f} s")
     report = {"machine": machine(), "repeat": REPEAT, "cases": rows}
     out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
