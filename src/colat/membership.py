@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Optional
 
 from .depend import dependency_closure
-from .lattice import FinLattice, LatticeError
+from .lattice import FinLattice, LatticeError, bits
 from .pool import ordered_map
 from .poset import Poset
 from .terms import CheckResult, check_sigma
@@ -405,42 +405,57 @@ def brute_force_oracle(L: FinLattice) -> bool:
 
 
 def _separating_hom(L: FinLattice, co: FinLattice, x: int, y: int) -> list[int] | None:
-    """A homomorphism L -> co whose image of x is not below the image of y."""
+    """A homomorphism L -> co whose image of x is not below the image of y.
+
+    The elements of L get images in a fixed order, x and y first, each
+    trying the elements of co in ascending order.  Each position's plan
+    is set up once: the earlier elements below and above its element,
+    which bound its image by rows of co.up and co.down; the earlier
+    pairs whose join or meet it is, which fix its image; and the earlier
+    elements whose join or meet with it sits at an earlier position.
+    """
     order = [x, y] + [e for e in range(L.n) if e != x and e != y]
-    slot = {e: i for i, e in enumerate(order)}
+    slot = [0] * L.n
+    for i, e in enumerate(order):
+        slot[e] = i
+    # per position: below, above, joins, meets, pair joins, pair meets
+    plans = [([], [], [], [], [], []) for _ in order]
+    for t, e in enumerate(order):
+        for i, u in enumerate(order[:t]):
+            if L.leq(u, e):
+                plans[t][0].append(i)
+            elif L.leq(e, u):
+                plans[t][1].append(i)
+            else:
+                for k, table in ((2, L.join_table), (3, L.meet_table)):
+                    s = slot[table[u][e]]
+                    if s < t:
+                        plans[t][k].append((i, s))
+                    else:
+                        # u and e incomparable: s names a later position
+                        plans[s][k + 2].append((i, t))
+    cj, cm, up, down = co.join_table, co.meet_table, co.up, co.down
     imgs: list[int] = []
 
-    def consistent(e: int, v: int) -> bool:
-        t = len(imgs)
-        if t == 1 and co.leq(imgs[0], v):
-            return False  # v would order the pair to separate
-        for i in range(t):
-            u = order[i]
-            j, m = L.join(u, e), L.meet(u, e)
-            jv = co.join(imgs[i], v)
-            mv = co.meet(imgs[i], v)
-            if slot[j] < t and jv != imgs[slot[j]]:
-                return False
-            if j == e and jv != v:
-                return False
-            if slot[m] < t and mv != imgs[slot[m]]:
-                return False
-            if m == e and mv != v:
-                return False
-        for i in range(t):
-            for i2 in range(i + 1, t):
-                if L.join(order[i], order[i2]) == e and co.join(imgs[i], imgs[i2]) != v:
-                    return False
-                if L.meet(order[i], order[i2]) == e and co.meet(imgs[i], imgs[i2]) != v:
-                    return False
-        return True
-
     def extend() -> bool:
-        if len(imgs) == len(order):
+        t = len(imgs)
+        if t == L.n:
             return True
-        e = order[len(imgs)]
-        for v in range(co.n):
-            if consistent(e, v):
+        below, above, joins, meets, pair_joins, pair_meets = plans[t]
+        mask = (1 << co.n) - 1
+        if t == 1:
+            mask &= ~up[imgs[0]]  # the pair to separate stays unordered
+        for i in below:
+            mask &= up[imgs[i]]
+        for i in above:
+            mask &= down[imgs[i]]
+        for i, i2 in pair_joins:
+            mask &= 1 << cj[imgs[i]][imgs[i2]]
+        for i, i2 in pair_meets:
+            mask &= 1 << cm[imgs[i]][imgs[i2]]
+        for v in bits(mask):
+            if (all(cj[imgs[i]][v] == imgs[s] for i, s in joins)
+                    and all(cm[imgs[i]][v] == imgs[s] for i, s in meets)):
                 imgs.append(v)
                 if extend():
                     return True

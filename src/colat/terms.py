@@ -7,7 +7,12 @@ to variables.  The sweep is chunked over a prefix of the declared
 variable order, so the first reported counter-assignment is always the
 lexicographically least one regardless of worker count.
 
-Within a chunk the inner variables are broadcast numpy axes.  The two
+Within a chunk the inner variables lie on broadcast numpy axes.  An
+axis is one variable, or one run of symmetric variables (see
+_symmetric_runs): a permutation of a run maps a failing assignment to a
+failing one, so the least witness has each run's values non-decreasing,
+and the run's axis holds only those tuples, in lexicographic order.
+The node lists and the runs are computed once per identity.  The two
 compared terms share one node list over an injective encoding of the
 elements (see _encoding): with at most 16 join-irreducibles, bitmasks of
 the join-irreducibles below, so a meet is an AND and a join of any arity
@@ -33,11 +38,11 @@ assignments is swept directly.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from contextlib import closing
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -184,6 +189,17 @@ class Identity:
         if stray:
             raise TermError(f"undeclared variables: {sorted(stray)}")
 
+    # check's derived data, kept on the identity so that a later call costs
+    # one attribute read: the runs of _symmetric_runs, and the node lists of
+    # _compile by (prefix length, want_eq)
+    @cached_property
+    def _run_ends(self) -> tuple[int, ...]:
+        return _symmetric_runs(self)
+
+    @cached_property
+    def _compiled(self) -> dict:
+        return {}
+
 
 def identity_to_json(ident: Identity) -> dict:
     return {
@@ -220,11 +236,6 @@ def identity_from_json(obj: dict) -> Identity:
         lhs=parse_term(lhs),
         rhs=parse_term(rhs),
     )
-
-
-def load_identity(path) -> Identity:
-    with open(path, encoding="utf-8") as fh:
-        return identity_from_json(json.load(fh))
 
 
 # -- built-in identities -----------------------------------------------------------
@@ -411,6 +422,37 @@ def _term_nodes(variables, lhs: Term, rhs: Term):
     return nodes, visit(lhs), visit(rhs)
 
 
+def _canonical(t: Term, place: dict) -> tuple:
+    """t up to the order of the children of each join and meet, with each
+    variable read as its place."""
+    if t.kind == "var":
+        return (0, place[t.name])
+    return (1 if t.kind == "join" else 2,
+            tuple(sorted(_canonical(c, place) for c in t.children)))
+
+
+def _symmetric_runs(ident: Identity) -> tuple[int, ...]:
+    """The runs of symmetric variables: entry i is the end of i's run.
+
+    Adjacent variables share a run when swapping them leaves both terms
+    unchanged up to the order of each join's and meet's children.  Those
+    transpositions generate every permutation of a run, so each leaves
+    the identity invariant, and fixing the variables before some point
+    of a run leaves every permutation of its rest.  A symmetry missed
+    here costs the sweep speed, never a verdict.
+    """
+    names = ident.variables
+    place = {name: i for i, name in enumerate(names)}
+    sides = (ident.lhs, ident.rhs)
+    base = [_canonical(t, place) for t in sides]
+    ends = list(range(1, len(names) + 1))
+    for i in reversed(range(len(names) - 1)):
+        swapped = dict(place, **{names[i]: i + 1, names[i + 1]: i})
+        if [_canonical(t, swapped) for t in sides] == base:
+            ends[i] = ends[i + 1]
+    return tuple(ends)
+
+
 def _compile(ident: Identity, n_prefix: int, want_eq: bool):
     """CSE the compared terms into one topologically sorted node list.
 
@@ -420,17 +462,37 @@ def _compile(ident: Identity, n_prefix: int, want_eq: bool):
     only, fold first and the accumulator widens last.  keyvars lists the
     prefix variables a node reads if it reads an inner one too, and is
     None for a scalar.  The sweep compares the two indices returned with
-    the list: lhs and rhs for "eq", lhs v rhs and rhs for "leq".
+    the list: lhs and rhs for "eq", lhs v rhs and rhs for "leq".  Last
+    come the inner axes, each (first, k): the k variables from first on
+    are one variable, or the inner part of a run of _symmetric_runs.
+    Compiled once per identity, prefix length and want_eq.
     """
-    top = ident.lhs if want_eq else join(ident.lhs, ident.rhs)
-    terms, rhs, lhs = _term_nodes(ident.variables, ident.rhs, top)
-    # how many inner variables each node reads
-    ranks = [(support >> n_prefix).bit_count() for *_, support in terms]
-    return [
-        (kind, vi, tuple(sorted(kids, key=ranks.__getitem__)),
-         tuple(i for i in range(n_prefix) if support >> i & 1) if ranks[k] else None)
-        for k, (kind, kids, vi, support) in enumerate(terms)
-    ], lhs, rhs
+    got = ident._compiled.get((n_prefix, want_eq))
+    if got is None:
+        top = ident.lhs if want_eq else join(ident.lhs, ident.rhs)
+        terms, rhs, lhs = _term_nodes(ident.variables, ident.rhs, top)
+        # how many inner variables each node reads
+        ranks = [(support >> n_prefix).bit_count() for *_, support in terms]
+        nodes = [
+            (kind, vi, tuple(sorted(kids, key=ranks.__getitem__)),
+             tuple(i for i in range(n_prefix) if support >> i & 1) if ranks[k] else None)
+            for k, (kind, kids, vi, support) in enumerate(terms)
+        ]
+        ends, axes, i = ident._run_ends, [], n_prefix
+        while i < len(ends):
+            axes.append((i, ends[i] - i))
+            i = ends[i]
+        got = ident._compiled[n_prefix, want_eq] = nodes, lhs, rhs, tuple(axes)
+    return got
+
+
+@lru_cache(maxsize=64)
+def _combinations(n: int, k: int) -> np.ndarray:
+    """The non-decreasing k-tuples over range(n) in lexicographic order, one per row."""
+    rows = list(itertools.combinations_with_replacement(range(n), k))
+    table = np.array(rows, dtype=np.min_scalar_type(n - 1)).reshape(len(rows), k)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass
@@ -495,7 +557,9 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
     demand search of _locate, which returns "holds" without sweeping or
     names the chunk of the least witness; the sweep starts at that chunk,
     or where the search gave up.  ASSIGNMENT_GUARD then bounds the cells
-    left to sweep, unless force is set or the chunk was named.
+    left to sweep, unless force is set or the chunk was named.  A chunk
+    visits only the non-decreasing values of each run of symmetric
+    variables; assignments still counts all n^v.
     """
     n, v = L.n, len(ident.variables)
     total = n ** v
@@ -515,15 +579,20 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
             "search gave up; pass force=True to sweep anyway"
         )
     want_eq = ident.relation == "eq" and not one_sided
-    nodes, lhs, rhs = _compile(ident, c, want_eq)
+    nodes, lhs, rhs, axes = _compile(ident, c, want_eq)
     codes, ops = _encoding(L)
-    values: list = [None] * len(nodes)
-    for k, (kind, vi, _, keyvars) in enumerate(nodes):
-        if kind == "var" and keyvars is not None:
-            shape = [1] * (v - c)
-            shape[vi - c] = n
-            values[k] = codes.reshape(shape)
-    inner_shape = (n,) * (v - c)
+    # each inner variable's codes along its axis, from its column of the
+    # axis's table of non-decreasing tuples
+    tables = [_combinations(n, k) for _, k in axes]
+    inner_shape = tuple(len(table) for table in tables)
+    inner = {}
+    for a, (first, k) in enumerate(axes):
+        shape = [1] * len(axes)
+        shape[a] = -1
+        for col in range(k):
+            inner[first + col] = codes[tables[a][:, col]].reshape(shape)
+    values = [inner[vi] if kind == "var" and keyvars is not None else None
+              for kind, vi, _, keyvars in nodes]
     sweep = _Sweep(nodes, lhs, rhs, inner_shape, codes.tolist(), ops, values, [None] * len(nodes))
     # results come in prefix order, so the first hit is the least one; one
     # chunk (c == 0, or a refutation located) is not worth a pool
@@ -533,7 +602,8 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
         for prefix, flat in zip(_prefixes(n, c, start), flats):
             if flat is not None:
                 tail = np.unravel_index(flat, inner_shape) if inner_shape else ()
-                point = prefix + tuple(int(t) for t in tail)
+                point = prefix + tuple(int(t) for table, row in zip(tables, tail)
+                                       for t in table[row])
                 return CheckResult(ident.name, False,
                                    dict(zip(ident.variables, point)), total)
     return CheckResult(ident.name, True, None, total)

@@ -4,6 +4,7 @@ import pytest
 
 from colat.depend import dependency_closure
 from colat.lattice import (
+    LatticeMap,
     direct_product,
     iter_lattices,
     lattice_from_json,
@@ -12,6 +13,7 @@ from colat.lattice import (
 from colat.membership import (
     ChainOrderWitness,
     EmbeddingCertificate,
+    _separating_hom,
     brute_force_oracle,
     certificate_from_json,
     certificate_to_json,
@@ -274,6 +276,26 @@ def test_oracle_size_guard():
 def test_oracle_matches_decision_to_size_six():
     for L in iter_lattices(6):
         assert decide_sub_lo(L).accepted == brute_force_oracle(L), L.up
+
+
+def test_separating_homs_are_homomorphisms_to_size_six():
+    # every map the oracle's search returns is a lattice homomorphism into
+    # Co(|J(L)|) that keeps its pair unordered
+    found = missing = 0
+    for L in iter_lattices(6):
+        co = co_chain(len(L.join_irreducibles))
+        for x in range(L.n):
+            for y in range(L.n):
+                if x == y or L.leq(x, y):
+                    continue
+                hom = _separating_hom(L, co, x, y)
+                if hom is None:
+                    missing += 1
+                    continue
+                found += 1
+                assert LatticeMap(L, co, tuple(hom)).preserves_ops(), (L.up, x, y)
+                assert not co.leq(hom[x], hom[y]), (L.up, x, y)
+    assert found and missing
 
 
 # -- structural bounds ------------------------------------------------------
