@@ -1,4 +1,5 @@
-"""Micro benchmark: wall time of identity checks, enumeration and search_pq.
+"""Micro benchmark: wall time of identity checks, the membership oracle,
+enumeration and search_pq.
 
     python3 bench/run.py OUT.json
 
@@ -12,11 +13,12 @@ Co(P), which fail and stop at their least witnesses; and D2DUAL on
 M_40, where the demand search gives up and the sweep decides.  Three
 rows run ``check`` of E, P and HS on each of the 1,078 lattices of size
 9, the corpus of the paper's claims at n = 9, and record how many hold
-(1030, 467 and 185).  Two rows time ``lattices_of_size`` at sizes 8 and
-9 and record the lattice counts.  A last row times the exhaustive
-``search_pq(limit=None)`` and lists |Co(Q)| of the pairs it finds.
-OUT.json records the machine (nproc, CPU model, Python and numpy
-versions) and every timing.
+(1030, 467 and 185).  One row runs ``brute_force_oracle`` on each of
+the 222 lattices of size 8 and records how many it accepts (63).  Two
+rows time ``lattices_of_size`` at sizes 8 and 9 and record the lattice
+counts.  A last row times the exhaustive ``search_pq(limit=None)`` and
+lists |Co(Q)| of the pairs it finds.  OUT.json records the machine
+(nproc, CPU model, Python and numpy versions) and every timing.
 """
 
 import importlib.metadata
@@ -31,7 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from colat import lattice, poset, star, terms  # noqa: E402
+from colat import lattice, membership, poset, star, terms  # noqa: E402
 
 REPEAT = 3
 
@@ -103,6 +105,11 @@ def main() -> int:
         rows.append({"case": f"{name}@lattices_of_size(9)", "lattices": len(size9),
                      "holds": holds, **times})
         print(f"{rows[-1]['case']:24s} holds={holds:4d} median={times['median_s']:7.3f} s")
+    size8 = lattice.lattices_of_size(8)
+    accepted, times = timed(lambda: sum(membership.brute_force_oracle(L) for L in size8))
+    rows.append({"case": "brute_force_oracle@lattices_of_size(8)", "lattices": len(size8),
+                 "accepted": accepted, **times})
+    print(f"{rows[-1]['case']:24s} accepted={accepted:4d} median={times['median_s']:7.3f} s")
     for n in (8, 9):
         found, times = timed(lambda: lattice.lattices_of_size(n))
         rows.append({"case": f"lattices_of_size({n})", "lattices": len(found), **times})

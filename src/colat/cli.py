@@ -168,8 +168,9 @@ def _cmd_member(ns, inputs):
             f"anchors: {len(cert)}  total chain size: {total}",
         ]
     payload["anchor"] = L.labels[res.anchor]
-    payload["diagnostics"] = [{"name": d.name, "witness": _labelled(L, d.witness)}
-                              for d in res.diagnostics]
+    failing = [r for r in (check_sigma(L, name) for name in ("E", "P", "HS")) if not r.holds]
+    payload["diagnostics"] = [{"name": r.name, "witness": _labelled(L, r.witness)}
+                              for r in failing]
     lines = [f"rejected: no chain order at anchor {payload['anchor']}"]
     lines.extend(f"  {d['name']} fails at {_format_witness(d['witness'])}"
                  for d in payload["diagnostics"])

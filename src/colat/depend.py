@@ -72,13 +72,13 @@ def dependency_closure(L: FinLattice, a: int) -> tuple[int, ...]:
 
 
 def is_minimal_in(L: FinLattice, p: int, x: int, y: int) -> bool:
-    """p <= x v y holds and no x' < x satisfies p <= x' v y."""
-    if not L.leq(p, L.join_table[x][y]):
-        return False
-    for x2 in bits(L.down[x] & ~(1 << x)):
-        if L.leq(p, L.join_table[x2][y]):
-            return False
-    return True
+    """p <= x v y holds and no x' < x satisfies p <= x' v y.
+
+    Testing the lower covers c of x suffices: every x' < x lies below
+    one, and then x' v y <= c v y.
+    """
+    jt = L.join_table
+    return L.leq(p, jt[x][y]) and not any(L.leq(p, jt[c][y]) for c in L.lower_covers[x])
 
 
 def is_minimal_pair_cover(L: FinLattice, p: int, x: int, y: int) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -23,7 +24,6 @@ from .depend import dependency_closure
 from .lattice import FinLattice, LatticeError, bits
 from .pool import ordered_map
 from .poset import Poset
-from .terms import CheckResult, check_sigma
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class MembershipResult:
     accepted: bool
     certificate: Optional[EmbeddingCertificate]
     anchor: Optional[int]
-    diagnostics: tuple[CheckResult, ...]
 
 
 def induced_map(L: FinLattice, chain: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -251,8 +250,7 @@ def decide_sub_lo(L: FinLattice, workers: int = 1) -> MembershipResult:
 
     Accepted means every join-irreducible admits a chain-order witness;
     the assembled certificate is re-verified before being returned.  A
-    rejection reports the first failing anchor in element order plus
-    whichever of the Sigma conditions E, P, HS fail on L.
+    rejection reports the first failing anchor in element order.
     """
     jis = L.join_irreducibles
     found: list[ChainOrderWitness] = []
@@ -265,16 +263,13 @@ def decide_sub_lo(L: FinLattice, workers: int = 1) -> MembershipResult:
                 break
             found.append(w)
     if failing is not None:
-        diags = tuple(
-            r for r in (check_sigma(L, name) for name in ("E", "P", "HS")) if not r.holds
-        )
-        return MembershipResult(False, None, failing, diags)
+        return MembershipResult(False, None, failing)
     cert = EmbeddingCertificate(
         tuple(found), tuple(induced_map(L, w.chain) for w in found)
     )
     if not verify_certificate(L, cert):
         raise LatticeError("assembled certificate failed self-verification")
-    return MembershipResult(True, cert, None, ())
+    return MembershipResult(True, cert, None)
 
 
 def decide_sub_n(L: FinLattice, n: int, workers: int = 1) -> bool:
@@ -378,6 +373,14 @@ def brute_force_oracle(L: FinLattice) -> bool:
     the images unordered.  Homomorphisms are found by backtracking over
     arbitrary convex values, one separating witness per pair, so the
     answer does not depend on any particular order of J_a(L).
+
+    The search is exact on normalised homomorphisms only, with
+    f(top) = [0, m] and the next element placed at most its reverse in
+    [0, m] (see _co_chain).  Every f(z) lies in f(top) = [l, u], which
+    is not empty, since f(x) !<= f(y).  Shifting by -l maps Co([l, u])
+    isomorphically onto Co([0, u - l]), a sublattice of Co(k), and
+    reversing [0, m] is an automorphism of Co([0, m]) that fixes its top;
+    both keep f(x) !<= f(y).
     """
     if L.n > 8:
         raise ValueError("oracle size guard exceeded (|L| > 8)")
@@ -390,12 +393,12 @@ def brute_force_oracle(L: FinLattice) -> bool:
     if not pairs:
         return True
     k = len(L.join_irreducibles)
-    co, _ = Poset.chain(k).co_lattice()
+    co = _co_chain(k)[0]
     separated = [False] * len(pairs)
     for idx, (x, y) in enumerate(pairs):
         if separated[idx]:
             continue
-        hom = _separating_hom(L, co, x, y)
+        hom = _separating_hom(L, k, x, y)
         if hom is None:
             return False
         for jdx, (u, v) in enumerate(pairs):
@@ -404,17 +407,46 @@ def brute_force_oracle(L: FinLattice) -> bool:
     return True
 
 
-def _separating_hom(L: FinLattice, co: FinLattice, x: int, y: int) -> list[int] | None:
-    """A homomorphism L -> co whose image of x is not below the image of y.
+@lru_cache(maxsize=None)  # k <= 7 under the oracle's size guard
+def _co_chain(k: int) -> tuple[FinLattice, int, dict[int, int]]:
+    """Co(k) and the masks over its elements of the normalised images.
 
-    The elements of L get images in a fixed order, x and y first, each
-    trying the elements of co in ascending order.  Each position's plan
-    is set up once: the earlier elements below and above its element,
-    which bound its image by rows of co.up and co.down; the earlier
-    pairs whose join or meet it is, which fix its image; and the earlier
-    elements whose join or meet with it sits at an earlier position.
+    Returns Co(k), the mask of the intervals [0, m], which the top of L
+    may take, and for each such image the mask of the convex sets v in
+    [0, m] with v <= reverse_m(v) in element order, where reverse_m maps
+    i to m - i: the images the element placed after the top may take.
     """
-    order = [x, y] + [e for e in range(L.n) if e != x and e != y]
+    co, sets = Poset.chain(k).co_lattice()
+    index = {s: i for i, s in enumerate(sets)}
+    tops, halves = 0, {}
+    for m in range(k):
+        within = (1 << m + 1) - 1
+        top = index[within]
+        tops |= 1 << top
+        halves[top] = 0
+        for s in sets:
+            if not s & ~within:
+                reverse = sum(1 << m - i for i in bits(s))
+                if index[s] <= index[reverse]:
+                    halves[top] |= 1 << index[s]
+    return co, tops, halves
+
+
+def _separating_hom(L: FinLattice, k: int, x: int, y: int) -> list[int] | None:
+    """A normalised homomorphism L -> Co(k) whose image of x is not below
+    the image of y, as brute_force_oracle describes.
+
+    The elements of L get images in a fixed order, the top first, then x
+    and y, each trying the elements of Co(k) in ascending order.  Each
+    position's plan is set up once: the earlier elements below and above
+    its element, which bound its image by rows of co.up and co.down; the
+    earlier pairs whose join or meet it is, which fix its image; and the
+    earlier elements whose join or meet with it sits at an earlier
+    position.
+    """
+    co, tops, halves = _co_chain(k)
+    first = [L.top] + [e for e in (x, y) if e != L.top]
+    order = first + [e for e in range(L.n) if e not in first]
     slot = [0] * L.n
     for i, e in enumerate(order):
         slot[e] = i
@@ -427,14 +459,15 @@ def _separating_hom(L: FinLattice, co: FinLattice, x: int, y: int) -> list[int] 
             elif L.leq(e, u):
                 plans[t][1].append(i)
             else:
-                for k, table in ((2, L.join_table), (3, L.meet_table)):
+                for col, table in ((2, L.join_table), (3, L.meet_table)):
                     s = slot[table[u][e]]
                     if s < t:
-                        plans[t][k].append((i, s))
+                        plans[t][col].append((i, s))
                     else:
                         # u and e incomparable: s names a later position
-                        plans[s][k + 2].append((i, t))
+                        plans[s][col + 2].append((i, t))
     cj, cm, up, down = co.join_table, co.meet_table, co.up, co.down
+    sx, sy = slot[x], slot[y]
     imgs: list[int] = []
 
     def extend() -> bool:
@@ -442,9 +475,9 @@ def _separating_hom(L: FinLattice, co: FinLattice, x: int, y: int) -> list[int] 
         if t == L.n:
             return True
         below, above, joins, meets, pair_joins, pair_meets = plans[t]
-        mask = (1 << co.n) - 1
-        if t == 1:
-            mask &= ~up[imgs[0]]  # the pair to separate stays unordered
+        mask = tops if t == 0 else halves[imgs[0]] if t == 1 else (1 << co.n) - 1
+        if t == sy:
+            mask &= ~up[imgs[sx]]  # the pair to separate stays unordered
         for i in below:
             mask &= up[imgs[i]]
         for i in above:

@@ -22,6 +22,16 @@ broadcasts; the others are arrays, each recomputed only when the prefix
 values it reads change, so nodes that read no prefix variable are
 computed once per check.
 
+The sweep tests the inclusions p <= q that Whitman's algorithm does not
+prove for every lattice (lhs <= rhs alone for the built-ins), each as
+p v q == q, and closes only their left sides: over masks, a join that
+only right sides read is a bare OR.  Closure is extensive and every
+operation monotone, so such a right side evaluates below its exact
+value, and a cell where p <= q holds with it holds.  The cells that it
+flags are re-evaluated exactly, over 1-D arrays of those cells, and the
+first that really fails is the witness.  Element indices have no
+closure to skip, so every node is exact there.
+
 A verdict can also be decided over the join-irreducibles, without
 visiting the assignments one by one: decide_identity runs a demand
 search (see _Demand) on each inclusion that Whitman's algorithm does not
@@ -190,11 +200,23 @@ class Identity:
             raise TermError(f"undeclared variables: {sorted(stray)}")
 
     # check's derived data, kept on the identity so that a later call costs
-    # one attribute read: the runs of _symmetric_runs, and the node lists of
-    # _compile by (prefix length, want_eq)
+    # one attribute read: the runs of _symmetric_runs, the node list of both
+    # terms with the inclusions to test, and the node lists of _compile by
+    # (prefix length, want_eq)
     @cached_property
     def _run_ends(self) -> tuple[int, ...]:
         return _symmetric_runs(self)
+
+    @cached_property
+    def _sides(self) -> tuple[list, dict]:
+        """_term_nodes of lhs and rhs, and by want_eq the inclusions (p, q)
+        between them that Whitman's algorithm does not prove for every
+        lattice (lhs <= rhs alone for E, P, HS and D2DUAL)."""
+        nodes, lhs, rhs = _term_nodes(self.variables, self.lhs, self.rhs)
+        memo: dict = {}
+        tested = {pq: not _free_leq(nodes, *pq, memo) for pq in ((lhs, rhs), (rhs, lhs))}
+        return nodes, {False: [(lhs, rhs)] if tested[lhs, rhs] else [],
+                       True: [pq for pq, keep in tested.items() if keep]}
 
     @cached_property
     def _compiled(self) -> dict:
@@ -461,20 +483,30 @@ def _compile(ident: Identity, n_prefix: int, want_eq: bool):
     variables they read, so that scalars, which read prefix variables
     only, fold first and the accumulator widens last.  keyvars lists the
     prefix variables a node reads if it reads an inner one too, and is
-    None for a scalar.  The sweep compares the two indices returned with
-    the list: lhs and rhs for "eq", lhs v rhs and rhs for "leq".  Last
-    come the inner axes, each (first, k): the k variables from first on
-    are one variable, or the inner part of a run of _symmetric_runs.
-    Compiled once per identity, prefix length and want_eq.
+    None for a scalar.  Next come the inclusions (p, q) to test, those of
+    Identity._sides.  Every node that a left side p reads is exact; a
+    join that only right sides read is of kind "raw" and skips its
+    closure, so its value, and the value of every node that reads it,
+    may lie below the exact one.  Last come the inner axes, each
+    (first, k): the k variables from first on are one variable, or the
+    inner part of a run of _symmetric_runs.  Compiled once per identity,
+    prefix length and want_eq.
     """
     got = ident._compiled.get((n_prefix, want_eq))
     if got is None:
-        top = ident.lhs if want_eq else join(ident.lhs, ident.rhs)
-        terms, rhs, lhs = _term_nodes(ident.variables, ident.rhs, top)
+        terms, sides = ident._sides
+        sides = sides[want_eq]
+        left, stack = set(), [p for p, _ in sides]
+        while stack:
+            k = stack.pop()
+            if k not in left:
+                left.add(k)
+                stack.extend(terms[k][1])
         # how many inner variables each node reads
         ranks = [(support >> n_prefix).bit_count() for *_, support in terms]
         nodes = [
-            (kind, vi, tuple(sorted(kids, key=ranks.__getitem__)),
+            ("raw" if kind == "join" and k not in left else kind, vi,
+             tuple(sorted(kids, key=ranks.__getitem__)),
              tuple(i for i in range(n_prefix) if support >> i & 1) if ranks[k] else None)
             for k, (kind, kids, vi, support) in enumerate(terms)
         ]
@@ -482,7 +514,7 @@ def _compile(ident: Identity, n_prefix: int, want_eq: bool):
         while i < len(ends):
             axes.append((i, ends[i] - i))
             i = ends[i]
-        got = ident._compiled[n_prefix, want_eq] = nodes, lhs, rhs, tuple(axes)
+        got = ident._compiled[n_prefix, want_eq] = nodes, sides, tuple(axes)
     return got
 
 
@@ -499,28 +531,57 @@ def _combinations(n: int, k: int) -> np.ndarray:
 class _Sweep:
     """Everything a chunk scan needs; one instance per check call.
 
-    codes and ops are those of _encoding: an operation folds its kids'
-    codes with combine, then applies finish if any.  values holds each
-    node's codes for the last prefix scanned: an int for a scalar, else
-    an array that broadcasts to shape, the inner axes.  keys holds the
-    prefix values each array node was computed for; a node is recomputed
-    only when they change, so a node that reads no prefix variable is
-    computed once per call.  The cache is keyed by value, so a worker
-    that scans prefixes out of order still reads the right arrays.
-    Cached arrays are never written to.
+    nodes and sides are those of _compile, and codes and ops those of
+    _encoding: an operation folds its kids' codes with combine, then
+    applies finish if any.  columns gives each inner variable its axis
+    and its codes along that axis, shaped to broadcast.  values holds each node's codes for
+    the last prefix scanned: an int for a scalar, else an array that
+    broadcasts to shape, the inner axes.  keys holds the prefix values
+    each array node was computed for; a node is recomputed only when
+    they change, so a node that reads no prefix variable is computed
+    once per call.  The cache is keyed by value, so a worker that scans
+    prefixes out of order still reads the right arrays.  Cached arrays
+    are never written to.  recheck is set when some raw join skips a
+    closure.
     """
 
     nodes: list
-    lhs: int
-    rhs: int
+    sides: list
+    recheck: bool
     shape: tuple
     codes: list
+    columns: dict
     ops: dict
     values: list
     keys: list
 
+    def fold(self, kind: str, kids: tuple, values: list):
+        """The codes of an operation of this kind over its kids' values."""
+        combine, finish = self.ops[kind]
+        acc = values[kids[0]]
+        for j in kids[1:]:
+            acc = combine(acc, values[j])
+        return finish(acc) if finish else acc
+
+    def fails(self, values: list):
+        """Where some inclusion p <= q fails, read as p v q != q.  The
+        combine of a join alone decides it: an OR of join-irreducible
+        masks, or a lookup in the join table of element indices."""
+        combine, out = self.ops["join"][0], False
+        for p, q in self.sides:
+            out = out | (combine(values[p], values[q]) != values[q])
+        return out
+
     def scan(self, prefix: tuple[int, ...]):
-        """First violating inner index in C order, or None."""
+        """First violating inner index in C order, or None.
+
+        A raw join lies below the exact one, and every operation is
+        monotone, so a right side q evaluates below its exact value: a
+        cell where p <= q holds with that value holds.  The cells flagged
+        are re-evaluated exactly, every node over 1-D arrays of the inner
+        variables' codes at those cells, and the first that really fails
+        is reported.
+        """
         values, keys = self.values, self.keys
         for k, (kind, vi, kids, keyvars) in enumerate(self.nodes):
             if kind == "var":
@@ -532,17 +593,23 @@ class _Sweep:
                 if keys[k] == key:
                     continue
                 keys[k] = key
-            combine, finish = self.ops[kind]
-            acc = values[kids[0]]
-            for j in kids[1:]:
-                acc = combine(acc, values[j])
-            values[k] = finish(acc) if finish else acc
-        mask = np.not_equal(values[self.lhs], values[self.rhs])
-        if not self.shape:
-            return 0 if mask else None
-        if not mask.any():
+            values[k] = self.fold(kind, kids, values)
+        flagged = self.fails(values)
+        if not np.any(flagged):
             return None
-        return int(np.argmax(np.broadcast_to(mask, self.shape)))
+        if not self.recheck:
+            return int(np.argmax(np.broadcast_to(flagged, self.shape)))
+        cells = np.flatnonzero(np.broadcast_to(flagged, self.shape))
+        at = np.unravel_index(cells, self.shape) if self.shape else ()
+        exact = values[:]
+        for k, (kind, vi, kids, keyvars) in enumerate(self.nodes):
+            if kind != "var":
+                exact[k] = self.fold("join" if kind == "raw" else kind, kids, exact)
+            elif keyvars is not None:
+                axis, column = self.columns[vi]
+                exact[k] = column.take(at[axis])
+        hits = np.flatnonzero(np.broadcast_to(self.fails(exact), cells.shape))
+        return int(cells[hits[0]]) if hits.size else None
 
 
 def check(L: FinLattice, ident: Identity, workers: int = 1,
@@ -579,21 +646,24 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
             "search gave up; pass force=True to sweep anyway"
         )
     want_eq = ident.relation == "eq" and not one_sided
-    nodes, lhs, rhs, axes = _compile(ident, c, want_eq)
+    nodes, sides, axes = _compile(ident, c, want_eq)
     codes, ops = _encoding(L)
-    # each inner variable's codes along its axis, from its column of the
+    # each inner variable's axis and codes along it, from its column of the
     # axis's table of non-decreasing tuples
     tables = [_combinations(n, k) for _, k in axes]
     inner_shape = tuple(len(table) for table in tables)
-    inner = {}
+    columns = {}
     for a, (first, k) in enumerate(axes):
         shape = [1] * len(axes)
         shape[a] = -1
         for col in range(k):
-            inner[first + col] = codes[tables[a][:, col]].reshape(shape)
-    values = [inner[vi] if kind == "var" and keyvars is not None else None
+            columns[first + col] = a, codes[tables[a][:, col]].reshape(shape)
+    values = [columns[vi][1] if kind == "var" and keyvars is not None else None
               for kind, vi, _, keyvars in nodes]
-    sweep = _Sweep(nodes, lhs, rhs, inner_shape, codes.tolist(), ops, values, [None] * len(nodes))
+    # element indices have no closure, so every node is exact there
+    recheck = ops["join"][1] is not None and any(node[0] == "raw" for node in nodes)
+    sweep = _Sweep(nodes, sides, recheck, inner_shape, codes.tolist(), columns, ops, values,
+                   [None] * len(nodes))
     # results come in prefix order, so the first hit is the least one; one
     # chunk (c == 0, or a refutation located) is not worth a pool
     flats = ordered_map(_Sweep.scan, sweep, _prefixes(n, c, start),
@@ -612,16 +682,18 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
 def _encoding(L: FinLattice):
     """The element codes of a sweep over L and its (combine, finish) pairs:
     with at most 16 join-irreducibles the masks of L.np_join_closure,
-    otherwise element indices into flat tables at a * n + b.
+    otherwise element indices into flat tables at a * n + b.  "raw" is
+    the join without its closure, the join itself for element indices.
     """
     if len(L.join_irreducibles) <= 16:
         codes, closure = L.np_join_closure
-        return codes, {"meet": (operator.and_, None), "join": (operator.or_, closure.take)}
+        return codes, {"meet": (operator.and_, None), "join": (operator.or_, closure.take),
+                       "raw": (operator.or_, None)}
     # n <= 256 keeps every table index a * n + b below 2**16
     n, dtype = L.n, np.uint16 if L.n <= 256 else np.int32
-    return np.arange(n, dtype=dtype), {
-        kind: (lambda a, b, flat=flat.astype(dtype): flat.take(a * n + b), None)
-        for kind, flat in zip(("join", "meet"), L.np_tables)}
+    ops = {kind: (lambda a, b, flat=flat.astype(dtype): flat.take(a * n + b), None)
+           for kind, flat in zip(("join", "meet"), L.np_tables)}
+    return np.arange(n, dtype=dtype), dict(ops, raw=ops["join"])
 
 
 def _prefixes(n: int, c: int, start: tuple = ()):
@@ -796,10 +868,8 @@ def _locate(L: FinLattice, ident: Identity, one_sided: bool, budget,
     start + (0, ...) fails.  Each inclusion that Whitman's algorithm
     proves for every lattice is skipped (rhs <= lhs for E, P, HS, D2DUAL).
     """
-    nodes, lhs, rhs = _term_nodes(ident.variables, ident.lhs, ident.rhs)
-    pairs = [(lhs, rhs), (rhs, lhs)] if ident.relation == "eq" and not one_sided else [(lhs, rhs)]
-    memo: dict = {}
-    sides = [(p, q) for p, q in pairs if not _free_leq(nodes, p, q, memo)]
+    nodes, sides = ident._sides
+    sides = sides[ident.relation == "eq" and not one_sided]
     search = _Demand(L, nodes, budget)
 
     def refutes(prefix):

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from colat import cli, terms
+from colat.lattice import lattice_from_json
 from colat.star import SeparationReport, load_pq_fixture
 from colat.terms import CheckResult
 from colat.poset import poset_to_json
@@ -257,6 +258,14 @@ class TestMember:
         rc, out, _ = run(capsys, "member", m3)
         assert rc == 1
         assert "rejected" in out
+
+    def test_reject_lists_failing_sigma_conditions(self, m3, capsys):
+        rc, out, _ = run(capsys, "member", m3, "--json")
+        assert rc == 1
+        listed = json.loads(out)["diagnostics"]
+        assert "HS_sigma" in {d["name"] for d in listed}
+        L = lattice_from_json(json.loads(pathlib.Path(m3).read_text()))
+        assert all(not terms.check_sigma(L, d["name"].split("_")[0]).holds for d in listed)
 
     def test_sub_n(self, pent, capsys):
         rc, out, _ = run(capsys, "member", pent, "--variety", "sub-2")
