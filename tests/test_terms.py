@@ -597,16 +597,16 @@ def test_sweep_closes_only_left_sides_of_builtins():
     for name in builtin_names():
         ident = builtin(name)
         nodes, sides, _ = terms._compile(ident, 0, ident.relation == "eq")
-        terms_, lhs, rhs = terms._term_nodes(ident.variables, ident.lhs, ident.rhs)
+        tree, lhs, rhs = terms._term_nodes(ident.variables, ident.lhs, ident.rhs)
         assert sides == [(lhs, rhs)], name
         left, stack = set(), [lhs]
         while stack:
             k = stack.pop()
             left.add(k)
-            stack.extend(terms_[k][1])
+            stack.extend(tree[k][1])
         raw = {k for k, node in enumerate(nodes) if node[0] == "raw"}
         assert raw and not raw & left, name
-        assert raw == {k for k, node in enumerate(terms_) if node[0] == "join"} - left, name
+        assert raw == {k for k, node in enumerate(tree) if node[0] == "join"} - left, name
 
 
 def chain_with_side(k):
