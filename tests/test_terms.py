@@ -341,11 +341,15 @@ CO_P_Q_WITNESSES = [
 ]
 
 
-def test_least_witnesses_on_co_p_and_co_q(monkeypatch):
+def co_p_and_q() -> dict:
     Q = Poset.from_covers(star.LABELS, star.FORCED + (("0", "a"), ("b", "3"),
                                                       ("a", "b"), ("c", "b")))
     P = Q.restrict([i for i, label in enumerate(Q.labels) if label != "c"])
-    co = {"P": P.co_lattice()[0], "Q": Q.co_lattice()[0]}
+    return {"P": P.co_lattice()[0], "Q": Q.co_lattice()[0]}
+
+
+def test_least_witnesses_on_co_p_and_co_q(monkeypatch):
+    co = co_p_and_q()
     assert (co["P"].n, co["Q"].n) == (31, 45)
     real_locate = terms._locate
     located = []
@@ -365,6 +369,49 @@ def test_least_witnesses_on_co_p_and_co_q(monkeypatch):
     assert all(refuted for refuted, _ in located[:7]), located
     assert any(refuted is None and start for refuted, start in located[7:]), located
 
+
+
+# sha256 of the compact JSON list of [p, q, prefix, result, budget left] for
+# every _Demand.refutes call: those of check on the identity cases of
+# bench/run.py that reach the search (E, P, HS and STAR on Co(6); STAR, E
+# and HS on Co(Q); P, STAR, E and HS on Co(P)), at the default budget of
+# total >> 10 states and at total >> 20, where some searches give up; then
+# those of _locate with a budget of 64 states, descending through every
+# variable, for E, P, HS and D2DUAL on every lattice of size <= 6.  The
+# search's states, their order and its budget accounting are all behind it
+PINNED_SEARCH = "1d2803a6e013ed98918abee5ca663b872f8e17a3e62ec1f843d65b5a70037d25"
+
+
+def test_demand_search_path_pinned(monkeypatch):
+    real_refutes, real_locate = terms._Demand.refutes, terms._locate
+    calls = []
+
+    def refutes(self, p, q, prefix=()):
+        got = real_refutes(self, p, q, prefix)
+        calls.append([p, q, list(prefix), got, self.budget])
+        return got
+
+    def locate(L, ident, one_sided, budget, depth=0):
+        return real_locate(L, ident, one_sided, budget >> shift, depth)
+
+    monkeypatch.setattr(terms._Demand, "refutes", refutes)
+    monkeypatch.setattr(terms, "_locate", locate)
+    co = dict(co_p_and_q(), **{"6": co_chain(6)})
+    cases = [("6", "E"), ("6", "P"), ("6", "HS"), ("6", "STAR"), ("Q", "STAR"), ("Q", "E"),
+             ("Q", "HS"), ("P", "P"), ("P", "STAR"), ("P", "E"), ("P", "HS")]
+    for shift in (0, 10):
+        for lattice, name in cases:
+            check(co[lattice], builtin(name), force=True)
+    bench = len(calls)
+    for L in iter_lattices(6):
+        for name in ("E", "P", "HS", "D2DUAL"):
+            ident = builtin(name)
+            real_locate(L, ident, False, 64, len(ident.variables))
+    # both parts refute, prove clean and give up
+    for part in (calls[:bench], calls[bench:]):
+        assert {got for *_, got, _ in part} == {True, False, None}
+    text = json.dumps(calls, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SEARCH
 
 def test_table_dtype_boundary():
     # 256 elements is the last size with uint16 tables (largest index
