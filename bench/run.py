@@ -13,7 +13,9 @@ Co(P), which fail and stop at their least witnesses; and D2DUAL on
 M_40, where the demand search gives up and the sweep decides.  Three
 rows run ``check`` of E, P and HS on each of the 1,078 lattices of size
 9, the corpus of the paper's claims at n = 9, and record how many hold
-(1030, 467 and 185).  One row runs ``brute_force_oracle`` on each of
+(1030, 467 and 185).  Three rows run ``decide_identity`` of E, P and HS,
+the demand search alone, on each of the 222 lattices of size 8 and
+record how many hold (219, 137 and 64).  One row runs ``brute_force_oracle`` on each of
 the 222 lattices of size 8 and records how many it accepts (63).  Two
 rows time ``lattices_of_size`` at sizes 8 and 9 and record the lattice
 counts.  A last row times the exhaustive ``search_pq(limit=None)`` and
@@ -106,6 +108,12 @@ def main() -> int:
                      "holds": holds, **times})
         print(f"{rows[-1]['case']:24s} holds={holds:4d} median={times['median_s']:7.3f} s")
     size8 = lattice.lattices_of_size(8)
+    for name in ("E", "P", "HS"):
+        ident = terms.builtin(name)
+        holds, times = timed(lambda: sum(terms.decide_identity(L, ident) for L in size8))
+        rows.append({"case": f"decide_identity({name})@lattices_of_size(8)",
+                     "lattices": len(size8), "holds": holds, **times})
+        print(f"{rows[-1]['case']:24s} holds={holds:4d} median={times['median_s']:7.3f} s")
     accepted, times = timed(lambda: sum(membership.brute_force_oracle(L) for L in size8))
     rows.append({"case": "brute_force_oracle@lattices_of_size(8)", "lattices": len(size8),
                  "accepted": accepted, **times})

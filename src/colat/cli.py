@@ -367,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, workers=True, force=True)
     s.set_defaults(func=_cmd_check)
 
-    s = subs.add_parser("check-sigma", help="check the join-irreducible interpretation")
+    s = subs.add_parser("check-sigma", help="check the join-irreducible interpretation, "
+                        "a necessary condition for the identity only")
     s.add_argument("lattice")
     s.add_argument("--which", required=True, choices=["E", "P", "HS"])
     _add_common(s)

@@ -749,6 +749,15 @@ class _Demand:
     with the goal below one of those is found on that earlier branch;
     the cover branches bar every child, and so never send a whole cover
     to one child.  budget counts the states pushed over all calls.
+
+    What a branch adds to its state depends on its join goal alone, so
+    each goal's width and its branches, a template of (goals, bars)
+    pairs, are built once per search; the template only once the budget
+    has paid for it, since a goal can have thousands of branches (an
+    atom of M_40).  Update plans list (node, table, first child, second
+    child, other children), so a binary node costs one table lookup.
+    Neither changes the states, the order they are pushed in or what the
+    budget is charged.
     """
 
     def __init__(self, L: FinLattice, nodes, budget):
@@ -758,38 +767,50 @@ class _Demand:
                     for k, (kind, kids, _, support) in enumerate(nodes) if kind != "var"]
         self.var_nodes = [k for k, node in enumerate(nodes) if node[0] == "var"]
         self.plans: dict[int, list] = {}
+        self.widths: dict[tuple, int] = {}
+        self.templates: dict[tuple, list] = {}
         self.covers: dict[int, list] = {}
 
     def update(self, values: list, dirty: int) -> None:
         """Recompute, in place, the operation nodes that read a variable in dirty."""
         plan = self.plans.get(dirty)
         if plan is None:
-            plan = self.plans[dirty] = [
-                (k, table, kids) for k, table, kids, support in self.ops if support & dirty]
-        for k, table, kids in plan:
-            acc = values[kids[0]]
-            for c in kids[1:]:
+            # an operation has at least two children
+            plan = self.plans[dirty] = [(k, table, kids[0], kids[1], kids[2:])
+                                        for k, table, kids, support in self.ops
+                                        if support & dirty]
+        for k, table, k0, k1, more in plan:
+            acc = table[values[k0]][values[k1]]
+            for c in more:
                 acc = table[acc][values[c]]
             values[k] = acc
 
     def width(self, goal: tuple) -> int:
-        """How many branches the open join goal (k, a) makes."""
-        m = len(self.nodes[goal[0]][1])
-        return m + sum(m ** len(cover) - m for cover in self.min_covers(goal[1]))
+        """How many branches the open join goal (k, a) makes: the length
+        of its template, counted without building it."""
+        got = self.widths.get(goal)
+        if got is None:
+            m = len(self.nodes[goal[0]][1])
+            got = self.widths[goal] = m + sum(m ** len(cover) - m
+                                              for cover in self.min_covers(goal[1]))
+        return got
 
-    def branches(self, goal: tuple, joins: list, bars: tuple):
-        """The (goals, bars) children of a state that branches on one open join goal."""
-        k, a = goal
-        rest = [g for g in joins if g != goal]
-        kids = self.nodes[k][1]
-        out = [(rest + [(c, a)], bars + tuple((d, a) for d in kids[:i]))
-               for i, c in enumerate(kids)]
-        barred = bars + tuple((d, a) for d in kids)
-        for cover in self.min_covers(a):
-            for spread in itertools.product(kids, repeat=len(cover)):
-                if len(set(spread)) > 1:
-                    out.append((rest + list(zip(spread, cover)), barred))
-        return out
+    def template(self, goal: tuple) -> list:
+        """The goals and bars that each branch on the open join goal (k, a)
+        adds to its state: the one-child branches, then every spread of
+        every minimal cover over two or more children."""
+        got = self.templates.get(goal)
+        if got is None:
+            k, a = goal
+            kids = self.nodes[k][1]
+            got = [([(c, a)], tuple((d, a) for d in kids[:i])) for i, c in enumerate(kids)]
+            barred = tuple((d, a) for d in kids)
+            for cover in self.min_covers(a):
+                got.extend((list(zip(spread, cover)), barred)
+                           for spread in itertools.product(kids, repeat=len(cover))
+                           if len(set(spread)) > 1)
+            self.templates[goal] = got
+        return got
 
     def min_covers(self, a: int) -> list:
         got = self.covers.get(a)
@@ -850,8 +871,10 @@ class _Demand:
                 self.budget -= self.width(goal)
                 if self.budget < 0:
                     return None
-                stack.extend((values, *branch)
-                             for branch in reversed(self.branches(goal, joins, bars)))
+                template = self.template(goal)
+                rest = [g for g in joins if g != goal]
+                stack.extend((values, rest + new_goals, bars + new_bars)
+                             for new_goals, new_bars in reversed(template))
         return False
 
 
@@ -913,7 +936,10 @@ def check_sigma(L: FinLattice, which: str) -> CheckResult:
 
     Quantifiers run over J(L) in ascending element order, minimal covers
     come from the join-dependency machinery, and the first failing tuple
-    in that order is returned.
+    in that order is returned.  A necessary condition only: it holds
+    wherever its identity does, but also on some lattices where the
+    identity fails (for P on 2 lattices of size 7 and 20 of size 8,
+    tests/test_terms.py::test_sigma_is_weaker_than_its_identity).
     """
     if which not in _SIGMA_VARIABLES:
         raise TermError(f"no semantic interpretation for {which!r}")

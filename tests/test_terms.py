@@ -370,7 +370,6 @@ def test_least_witnesses_on_co_p_and_co_q(monkeypatch):
     assert any(refuted is None and start for refuted, start in located[7:]), located
 
 
-
 # sha256 of the compact JSON list of [p, q, prefix, result, budget left] for
 # every _Demand.refutes call: those of check on the identity cases of
 # bench/run.py that reach the search (E, P, HS and STAR on Co(6); STAR, E
@@ -412,6 +411,7 @@ def test_demand_search_path_pinned(monkeypatch):
         assert {got for *_, got, _ in part} == {True, False, None}
     text = json.dumps(calls, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SEARCH
+
 
 def test_table_dtype_boundary():
     # 256 elements is the last size with uint16 tables (largest index
@@ -786,6 +786,19 @@ def test_identity_implies_sigma_small():
         for which in ("E", "P", "HS"):
             if check(L, builtin(which)).holds:
                 assert check_sigma(L, which).holds
+
+
+def test_sigma_is_weaker_than_its_identity():
+    # check_sigma is a necessary condition only: up to size 8 it holds
+    # where the identity fails for P on 2 lattices of size 7 and 20 of
+    # size 8, and never for E or HS
+    idents = {name: builtin(name) for name in ("E", "P", "HS")}
+    weaker = collections.Counter()
+    for L in iter_lattices(8):
+        for name, ident in idents.items():
+            if not check(L, ident).holds and check_sigma(L, name).holds:
+                weaker[name, L.n] += 1
+    assert weaker == {("P", 7): 2, ("P", 8): 20}
 
 
 def test_sigma_rejects_unknown():
