@@ -27,6 +27,7 @@ from colat.lattice import (
     structural_predicates,
     surjection_search,
 )
+from colat.membership import decide_sub_lo
 from colat.poset import Poset
 from oracles import backtracking_surjections
 
@@ -181,6 +182,41 @@ def test_monolith_agrees_with_full_congruence_enumeration():
             assert th is not None and th.block_of == atoms[0].block_of
         else:
             assert th is None
+
+
+# sha256 of compact JSON, over the 300 lattices of size <= 8 in iter_lattices
+# order, of: each lattice's congruences as a sorted list of block_of lists
+# (3,308 in all: 1, 2, 4, 12, 39, 141, 567 and 2,542 by size); each lattice's
+# monolith's block_of, or null; and, for each of the 104 members that
+# decide_sub_lo accepts, the sorted surjection_search values onto Co(1),
+# Co(3), L(1,1), L(1,2) and L(2,1) (497 maps).  Recorded from the frontier
+# closure that joined every new congruence with every principal one.
+CONGRUENCES_UP_TO_8 = "43a402fe6d1d5d36d69a792f58b7978167a96c4450d6cbec402748899e3d848d"
+MONOLITHS_UP_TO_8 = "8048cc8bd3cc5dd9e57a458bd70748fa7915d56229180f58115042c9fc46c7b9"
+SURJECTIONS_UP_TO_8 = "49f97c0caf487a015e30c6c71d2887296a3c8ddd36864b8807ec5be7ef074d9e"
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(json.dumps(data, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_congruences_and_monoliths_pinned_up_to_eight():
+    corpus = list(iter_lattices(8))
+    cons = [sorted(list(c.block_of) for c in congruence_lattice(L)) for L in corpus]
+    assert [sum(len(c) for L, c in zip(corpus, cons) if L.n == n) for n in range(1, 9)] \
+        == [1, 2, 4, 12, 39, 141, 567, 2542]
+    assert _sha(cons) == CONGRUENCES_UP_TO_8
+    monos = [None if (m := monolith(L)) is None else list(m.block_of) for L in corpus]
+    assert _sha(monos) == MONOLITHS_UP_TO_8
+
+
+def test_surjections_pinned_up_to_eight():
+    members = [L for L in iter_lattices(8) if decide_sub_lo(L).accepted]
+    targets = [co_chain(1), co_chain(3), l_mn(1, 1), l_mn(1, 2), l_mn(2, 1)]
+    maps = [[sorted(list(m.values) for m in surjection_search(L, T)) for T in targets]
+            for L in members]
+    assert (len(members), sum(len(row) for per in maps for row in per)) == (104, 497)
+    assert _sha(maps) == SURJECTIONS_UP_TO_8
 
 
 def test_direct_product_shape():
