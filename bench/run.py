@@ -17,6 +17,11 @@ rows run ``check`` of E, P and HS on each of the 1,078 lattices of size
 the demand search alone, on each of the 222 lattices of size 8 and
 record how many hold (219, 137 and 64).  One row runs ``brute_force_oracle`` on each of
 the 222 lattices of size 8 and records how many it accepts (63).  Two
+rows take the 179 lattices of size 9 that ``decide_sub_lo`` accepts: one
+runs ``congruence_lattice`` on each and records the congruence count
+(6,190), the other runs ``surjection_search`` from each onto Co(1), Co(3),
+L(1,1), L(1,2) and L(2,1), the SI targets of the paper's claim (3), and
+records the maps found per target (713, 36, 306, 8 and 1).  Two
 rows time ``lattices_of_size`` at sizes 8 and 9 and record the lattice
 counts.  A last row times the exhaustive ``search_pq(limit=None)`` and
 lists |Co(Q)| of the pairs it finds.  OUT.json records the machine
@@ -35,7 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from colat import lattice, membership, poset, star, terms  # noqa: E402
+from colat import catalog, lattice, membership, poset, star, terms  # noqa: E402
 
 REPEAT = 3
 
@@ -118,6 +123,18 @@ def main() -> int:
     rows.append({"case": "brute_force_oracle@lattices_of_size(8)", "lattices": len(size8),
                  "accepted": accepted, **times})
     print(f"{rows[-1]['case']:24s} accepted={accepted:4d} median={times['median_s']:7.3f} s")
+    members9 = [L for L in size9 if membership.decide_sub_lo(L).accepted]
+    count, times = timed(lambda: sum(len(lattice.congruence_lattice(L)) for L in members9))
+    rows.append({"case": "congruence_lattice@members(9)", "lattices": len(members9),
+                 "congruences": count, **times})
+    print(f"{rows[-1]['case']:24s} congruences={count:5d} median={times['median_s']:7.3f} s")
+    targets = [catalog.co_chain(1), catalog.co_chain(3), catalog.l_mn(1, 1),
+               catalog.l_mn(1, 2), catalog.l_mn(2, 1)]
+    split, times = timed(lambda: [sum(len(list(lattice.surjection_search(L, T)))
+                                      for L in members9) for T in targets])
+    rows.append({"case": "surjection_search@members(9)", "lattices": len(members9),
+                 "surjections": split, **times})
+    print(f"{rows[-1]['case']:24s} surjections={split} median={times['median_s']:7.3f} s")
     for n in (8, 9):
         found, times = timed(lambda: lattice.lattices_of_size(n))
         rows.append({"case": f"lattices_of_size({n})", "lattices": len(found), **times})

@@ -339,7 +339,7 @@ def _add_common(sub, workers=False, force=False):
                      help="append wall time (excluded by default so reports are byte identical)")
     if workers:
         sub.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="parallel sweep processes")
+                         help="parallel sweep processes, at most the CPU count")
     if force:
         sub.add_argument("--force", action="store_true",
                          help="bypass the assignment space guard")

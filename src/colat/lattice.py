@@ -311,18 +311,6 @@ class Congruence:
     def is_all(self) -> bool:
         return all(b == self.block_of[0] for b in self.block_of)
 
-    def refines(self, other: "Congruence") -> bool:
-        # every block of self lies inside a block of other
-        seen: dict[int, int] = {}
-        for i, b in enumerate(self.block_of):
-            ob = other.block_of[i]
-            if b in seen:
-                if seen[b] != ob:
-                    return False
-            else:
-                seen[b] = ob
-        return True
-
 
 def principal_congruence(L: FinLattice, a: int, b: int) -> Congruence:
     """Least congruence identifying a and b.
@@ -346,61 +334,64 @@ def principal_congruence(L: FinLattice, a: int, b: int) -> Congruence:
     return Congruence.from_union_find(parent)
 
 
-def _principal_congruences(L: FinLattice) -> list[Congruence]:
-    """The distinct principal congruences of covering pairs, without zero.
+def _principal_congruences(L: FinLattice) -> tuple[list[Congruence], list[int]]:
+    """The distinct principal congruences of covering pairs, without zero,
+    and their order: bit i of below[k] is set iff principals[i] refines
+    principals[k].
 
     Every nonzero congruence collapses some covering pair a < b.  Taking
     j minimal with j <= b and not j <= a, the pair (j_*, j) of j and its
     unique lower cover is perspective to (a, b), so both generate the same
-    congruence and the join-irreducibles suffice.
+    congruence and the join-irreducibles suffice.  con(j_*, j) refines a
+    congruence iff that congruence collapses j_* and j.  The principals
+    come most blocks first, a linear extension of refinement, so below[k]
+    has no bit above k.
     """
-    out: list[Congruence] = []
-    seen: set[tuple[int, ...]] = set()
+    pairs: dict[tuple[int, ...], tuple[int, int]] = {}
     for j in L.join_irreducibles:
-        th = principal_congruence(L, L.lower_covers[j][0], j)
-        if th.block_of not in seen:
-            seen.add(th.block_of)
-            out.append(th)
-    return out
+        lo = L.lower_covers[j][0]
+        pairs.setdefault(principal_congruence(L, lo, j).block_of, (lo, j))
+    order = sorted(pairs, key=lambda b: -len(set(b)))
+    principals = [Congruence(b) for b in order]
+    below = [sum(1 << i for i, b in enumerate(order) if th.same(*pairs[b]))
+             for th in principals]
+    return principals, below
 
 
 def monolith(L: FinLattice) -> Congruence | None:
-    """Least nonzero congruence, or None when it does not exist."""
-    principals = _principal_congruences(L)
-    for cand in principals:
-        if all(cand.refines(other) for other in principals):
-            return cand
-    return None
+    """Least nonzero congruence, or None when it does not exist.
+
+    A least principal comes first in the linear extension of refinement.
+    """
+    principals, below = _principal_congruences(L)
+    return principals[0] if principals and all(b & 1 for b in below) else None
 
 
 def congruence_lattice(L: FinLattice) -> list[Congruence]:
-    """All congruences of L, zero first, by join-closing the principal ones."""
-    zero = Congruence(tuple(range(L.n)))
-    principals = _principal_congruences(L)
-    seen = {zero.block_of}
-    seen.update(th.block_of for th in principals)
-    out = [zero] + principals
-    frontier = principals
-    while frontier:
-        nxt = []
-        for th in frontier:
-            for pr in principals:
-                j = _congruence_join(L, th, pr)
-                if j.block_of not in seen:
-                    seen.add(j.block_of)
-                    out.append(j)
-                    nxt.append(j)
-        frontier = nxt
+    """All congruences of L, zero first, each formed once.
+
+    Con(L) is distributive and its join-irreducibles are the principal
+    congruences, so the congruences are the joins of the down-sets of
+    principals (Freese, Jezek and Nation, Free Lattices, 2.5).  A down-set
+    gains a principal i past its last member when it holds all strictly
+    below i; so each is reached once, from itself less its last member.
+    block_of is a union-find forest rooted at least members, so the join
+    is one union pass.
+    """
+    principals, below = _principal_congruences(L)
+    out: list[Congruence] = []
+
+    def grow(theta: Congruence, down: int, start: int) -> None:
+        out.append(theta)
+        for i in range(start, len(principals)):
+            if below[i] & ~down == 1 << i:
+                parent = list(theta.block_of)
+                for x, r in enumerate(principals[i].block_of):
+                    _union(parent, x, r)
+                grow(Congruence.from_union_find(parent), down | 1 << i, i + 1)
+
+    grow(Congruence(tuple(range(L.n))), 0, 0)
     return out
-
-
-def _congruence_join(L: FinLattice, a: Congruence, b: Congruence) -> Congruence:
-    # the partition join of two congruences of a lattice is a congruence
-    parent = list(range(L.n))
-    for i in range(L.n):
-        _union(parent, i, a.block_of[i])
-        _union(parent, i, b.block_of[i])
-    return Congruence.from_union_find(parent)
 
 
 # -- lattice maps ------------------------------------------------------------

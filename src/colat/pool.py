@@ -41,8 +41,10 @@ def _serve(conn, fn, shared) -> None:
 def ordered_map(fn, shared, items, workers: int):
     """Yield fn(shared, item) for each item, in item order.
 
-    With workers <= 1 the calls run here, one by one.  Otherwise that
-    many forked workers run them; fn and shared reach the workers through
+    workers is capped at multiprocessing.cpu_count(): results come in item
+    order at any count, so more workers would only add processes.  With
+    workers <= 1 after the cap the calls run here, one by one.  Otherwise
+    that many forked workers run them; fn and shared reach the workers through
     the fork rather than by pickling.  Item i goes to worker i % workers
     over its own pipe, at most two items per worker ahead of the result
     awaited.  Closing the generator early, as a caller that stops at its
@@ -50,6 +52,7 @@ def ordered_map(fn, shared, items, workers: int):
     so a worker terminated mid-send cannot leave one held, as it can
     under multiprocessing.Pool.terminate.
     """
+    workers = min(workers, multiprocessing.cpu_count())
     if workers <= 1:
         for item in items:
             yield fn(shared, item)

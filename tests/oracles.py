@@ -55,3 +55,23 @@ def backtracking_surjections(K: FinLattice, L: FinLattice):
 
     for b in range(L.n):
         yield from extend(0, b, {})
+
+
+def d_closure(L: FinLattice) -> set[tuple[int, int]]:
+    """The pairs (j, k) of join-irreducibles with j D* k, the reflexive-
+    transitive closure of the D relation: j D k iff j != k and some x has
+    j <= k v x but not j <= k_* v x, where k_* is the lower cover of k
+    (Freese, Jezek and Nation, Free Lattices, 2.5)."""
+    jis = L.join_irreducibles
+    star = {k: L.lower_covers[k][0] for k in jis}
+    reach = {j: {j} | {k for k in jis if k != j and any(
+        L.leq(j, L.join(k, x)) and not L.leq(j, L.join(star[k], x)) for x in range(L.n))}
+        for j in jis}
+    changed = True
+    while changed:
+        changed = False
+        for j in jis:
+            grown = reach[j].union(*(reach[k] for k in reach[j]))
+            if grown != reach[j]:
+                reach[j], changed = grown, True
+    return {(j, k) for j in jis for k in reach[j]}

@@ -13,6 +13,7 @@ from colat.lattice import (
     FinLattice,
     LatticeError,
     LatticeMap,
+    _principal_congruences,
     congruence_lattice,
     direct_product,
     embedding_search,
@@ -29,7 +30,7 @@ from colat.lattice import (
 )
 from colat.membership import decide_sub_lo
 from colat.poset import Poset
-from oracles import backtracking_surjections
+from oracles import backtracking_surjections, d_closure
 
 
 def chain_lattice(n: int) -> FinLattice:
@@ -168,15 +169,15 @@ def test_monolith_absent_on_products():
     assert monolith(L) is None
 
 
+def _refines(a, b) -> bool:
+    # every element shares its block of b with the least member of its block of a
+    return all(b.block_of[i] == b.block_of[r] for i, r in enumerate(a.block_of))
+
+
 def test_monolith_agrees_with_full_congruence_enumeration():
-    mk = [pentagon, diamond, lambda: chain_lattice(4),
-          lambda: direct_product(chain_lattice(2), chain_lattice(3))]
-    for make in mk:
-        L = make()
-        cons = congruence_lattice(L)
-        nonzero = [c for c in cons if not c.is_zero]
-        atoms = [c for c in nonzero
-                 if not any(o.refines(c) and o.block_of != c.block_of for o in nonzero)]
+    for L in iter_lattices(8):
+        nonzero = [c for c in congruence_lattice(L) if not c.is_zero]
+        atoms = [c for c in nonzero if not any(o != c and _refines(o, c) for o in nonzero)]
         th = monolith(L)
         if len(atoms) == 1:
             assert th is not None and th.block_of == atoms[0].block_of
@@ -217,6 +218,22 @@ def test_surjections_pinned_up_to_eight():
             for L in members]
     assert (len(members), sum(len(row) for per in maps for row in per)) == (104, 497)
     assert _sha(maps) == SURJECTIONS_UP_TO_8
+
+
+def test_principal_order_is_the_closure_of_d():
+    # con(j_*, j) refines con(k_*, k) iff j D* k, and _principal_congruences
+    # orders the distinct principals the same way
+    for L in iter_lattices(8):
+        jis = L.join_irreducibles
+        con = {j: principal_congruence(L, L.lower_covers[j][0], j) for j in jis}
+        refines = {(j, k) for j in jis for k in jis
+                   if con[k].same(L.lower_covers[j][0], j)}
+        assert d_closure(L) == refines
+        principals, below = _principal_congruences(L)
+        index = {th: i for i, th in enumerate(principals)}
+        assert set(index) == set(con.values())
+        assert refines == {(j, k) for j in jis for k in jis
+                           if below[index[con[k]]] >> index[con[j]] & 1}
 
 
 def test_direct_product_shape():

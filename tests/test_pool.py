@@ -1,6 +1,7 @@
 """The ordered worker pool: item order at any worker count, early close."""
 
 import multiprocessing
+import os
 import time
 from contextlib import closing
 
@@ -61,4 +62,14 @@ def test_repeated_early_close_never_hangs():
     for _ in range(200):
         with closing(ordered_map(_shifted_square, 0, range(100), 2)) as results:
             assert next(results) == 0
+    assert multiprocessing.active_children() == []
+
+
+def _pid(shared, x):
+    return os.getpid()
+
+
+def test_workers_are_capped_at_the_cpu_count():
+    pids = set(ordered_map(_pid, None, range(32), 8))
+    assert len(pids) <= multiprocessing.cpu_count()
     assert multiprocessing.active_children() == []
