@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -171,6 +172,21 @@ def test_workers_agree_on_rejection(diamond):
     r1 = decide_sub_lo(diamond)
     r2 = decide_sub_lo(diamond, workers=2)
     assert (r1.accepted, r1.anchor) == (r2.accepted, r2.anchor)
+
+
+# sha256 of [accepted, anchor, certificate chains] per lattice of size <= 9
+DECISIONS_UP_TO_9 = "9027fa0c5d5e0aee00bfd2a23f0e801d4a6dacce7ca41f795b46057bf4c8d005"
+
+
+def test_decisions_pinned_up_to_nine():
+    rows = []
+    for L in iter_lattices(9):
+        r = decide_sub_lo(L)
+        chains = None if r.certificate is None else [list(w.chain) for w in r.certificate.witnesses]
+        rows.append([r.accepted, r.anchor, chains])
+    assert (len(rows), sum(row[0] for row in rows)) == (1378, 283)
+    sha = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+    assert sha == DECISIONS_UP_TO_9
 
 
 def test_accepted_lattices_satisfy_identities():
