@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .depend import WeakBiTrack, WeakTrack, dependency_closure, is_weak_bitrack
+from .depend import WeakBiTrack, WeakTrack, is_weak_bitrack
 from .lattice import (
     FinLattice,
     LatticeError,
@@ -149,11 +149,12 @@ class VarietyPosition:
 
 
 def variety_position(L: FinLattice) -> VarietyPosition:
-    if not decide_sub_lo(L).accepted:
+    result = decide_sub_lo(L)
+    if not result.accepted:
         raise LatticeError("variety position is defined for accepted lattices only")
     if L.n == 1:
         return VarietyPosition(0, ())
-    widest = max(len(dependency_closure(L, a)) for a in L.join_irreducibles)
+    widest = max(result.certificate.chain_sizes)
     # SUB(1) = SUB(2), so 2 is the least index ever reported
     least = max(2, widest)
     embedded: list[tuple] = []

@@ -109,52 +109,6 @@ def _chain_is_valid(L: FinLattice, chain: tuple[int, ...]) -> bool:
     return iv is not None and _intervals_are_hom(L, iv)
 
 
-def _block_sort(items: list[int], before) -> list[int] | None:
-    """Sort by the relation before(x, y), or give up if it is not total."""
-    out: list[int] = []
-    for x in items:
-        k = 0
-        while k < len(out) and before(out[k], x):
-            k += 1
-        out.insert(k, x)
-    for i, j in combinations(range(len(out)), 2):
-        if not before(out[i], out[j]):
-            return None
-    return out
-
-
-def _bipartition_chain(L: FinLattice, a: int, deps: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Heuristic order: split rd(a) across the graph {x, y : a <= x v y}.
-
-    Cross pairs of the split jointly cover a, each side is ordered by
-    comparing joins with a, and a sits between the sides.  The result
-    is only a candidate and must still pass the full validity check.
-    """
-    color: dict[int, int] = {}
-    for start in deps:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in deps:
-                if y == x or not L.leq(a, L.join(x, y)):
-                    continue
-                if y not in color:
-                    color[y] = color[x] ^ 1
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return None
-    side_a = [x for x in deps if color[x] == 0]
-    side_b = [x for x in deps if color[x] == 1]
-    left = _block_sort(side_a, lambda x, y: L.leq(y, L.join(a, x)))
-    right = _block_sort(side_b, lambda x, y: L.leq(x, L.join(a, y)))
-    if left is None or right is None:
-        return None
-    return tuple(left) + (a,) + tuple(right)
-
-
 def _permutation_chain(L: FinLattice, ja: tuple[int, ...]) -> tuple[int, ...] | None:
     """Backtracking over total orders of ja, smallest element id first.
 
@@ -226,22 +180,13 @@ def _permutation_chain(L: FinLattice, ja: tuple[int, ...]) -> tuple[int, ...] | 
 def chain_order(L: FinLattice, a: int) -> ChainOrderWitness | None:
     """Search a total order on J_a(L) whose trace map is a homomorphism.
 
-    Tries the bipartition heuristic first and falls back to exhaustive
-    backtracking, so a None answer means no order exists.  The witness
-    is deterministic: the fallback explores orders lexicographically by
-    element id.
+    The search is exhaustive backtracking, so the witness is the first
+    valid order of J_a(L) in itertools.permutations order over ascending
+    element ids, and None means that no order exists.
     """
     if a not in L.join_irreducibles:
         raise ValueError(f"element {a} is not join-irreducible")
-    ja = dependency_closure(L, a)
-    if len(ja) == 1:
-        witness = ChainOrderWitness(a, (a,))
-        return witness if _chain_is_valid(L, witness.chain) else None
-    deps = tuple(x for x in ja if x != a)
-    guess = _bipartition_chain(L, a, deps)
-    if guess is not None and _chain_is_valid(L, guess):
-        return ChainOrderWitness(a, guess)
-    chain = _permutation_chain(L, ja)
+    chain = _permutation_chain(L, dependency_closure(L, a))
     return ChainOrderWitness(a, chain) if chain is not None else None
 
 
@@ -279,10 +224,8 @@ def decide_sub_n(L: FinLattice, n: int, workers: int = 1) -> bool:
     if n == 0:
         # SUB(0) is the trivial variety
         return L.n == 1
-    if not decide_sub_lo(L, workers=workers).accepted:
-        return False
-    widest = max((len(dependency_closure(L, a)) for a in L.join_irreducibles), default=0)
-    return widest <= n
+    result = decide_sub_lo(L, workers=workers)
+    return result.accepted and max(result.certificate.chain_sizes, default=0) <= n
 
 
 def verify_certificate(L: FinLattice, cert: EmbeddingCertificate) -> bool:

@@ -1,6 +1,11 @@
 """Slow reference implementations that the tests compare the package against."""
 
-from colat.lattice import FinLattice, LatticeMap, bits
+from functools import lru_cache
+from itertools import combinations, permutations
+
+from colat.catalog import co_chain, l_mn
+from colat.depend import dependency_closure
+from colat.lattice import FinLattice, LatticeMap, bits, embedding_search
 
 
 def _derived_hom(K: FinLattice, target: FinLattice, bot_img: int,
@@ -75,3 +80,50 @@ def d_closure(L: FinLattice) -> set[tuple[int, int]]:
             if grown != reach[j]:
                 reach[j], changed = grown, True
     return {(j, k) for j in jis for k in reach[j]}
+
+
+def _hull(positions: frozenset) -> frozenset:
+    return frozenset(range(min(positions), max(positions) + 1)) if positions else positions
+
+
+def first_chain_order(L: FinLattice, a: int) -> tuple[int, ...] | None:
+    """The first order of J_a(L), in permutations order over ascending ids,
+    whose trace map x |-> {i : chain[i] <= x} is a homomorphism into the
+    convex subsets of the chain, or None when no order is.
+
+    Every trace must be an interval, the trace of x v y the hull of the two
+    traces and the trace of x ^ y their intersection.
+    """
+    ja = dependency_closure(L, a)
+    below = [[b for b in ja if L.leq(b, x)] for x in range(L.n)]
+    for chain in permutations(ja):
+        pos = {b: i for i, b in enumerate(chain)}
+        traces = [frozenset(pos[b] for b in members) for members in below]
+        if all(t == _hull(t) for t in traces) and all(
+                traces[L.join(x, y)] == _hull(traces[x] | traces[y])
+                and traces[L.meet(x, y)] == traces[x] & traces[y]
+                for x, y in combinations(range(L.n), 2)):
+            return chain
+    return None
+
+
+@lru_cache(maxsize=None)
+def _catalog_si(size: int) -> tuple[FinLattice, ...]:
+    """The catalog SI lattices with size join-irreducibles."""
+    return ((co_chain(size),) if size != 2 else ()) + tuple(
+        l_mn(m, size - 1 - m) for m in range(1, size - 1))
+
+
+def catalog_level(L: FinLattice) -> int:
+    """The largest |J(K)| over the catalog subdirectly irreducible lattices
+    K, Co(k) for k != 2 and L(m, k), that embed in L; 0 when none does.
+
+    SUB(n) = ISP(Co(n)), and a subdirectly irreducible sublattice of a
+    product embeds in one of its factors, so for a member of SUB(LO) this
+    is the least n with L in SUB(n).
+    """
+    level = 0
+    for size in range(1, len(L.join_irreducibles) + 1):
+        if any(embedding_search(K, L) is not None for K in _catalog_si(size)):
+            level = size
+    return level

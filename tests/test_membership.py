@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from colat.catalog import l_mn
 from colat.depend import dependency_closure
 from colat.lattice import (
+    FinLattice,
     LatticeMap,
     direct_product,
     iter_lattices,
@@ -27,6 +29,7 @@ from colat.membership import (
 )
 from colat.poset import Poset
 from colat.terms import builtin, check
+from oracles import catalog_level, first_chain_order
 
 
 def co_chain(n):
@@ -101,6 +104,33 @@ def test_chain_order_deterministic():
     L = co_chain(5)
     for a in L.join_irreducibles:
         assert chain_order(L, a) == chain_order(L, a)
+
+
+def _chain_or_none(w):
+    return None if w is None else w.chain
+
+
+def test_chain_order_matches_oracle_up_to_eight():
+    pairs = [(L, a) for L in iter_lattices(8) for a in L.join_irreducibles]
+    assert len(pairs) == 1493
+    for L, a in pairs:
+        assert _chain_or_none(chain_order(L, a)) == first_chain_order(L, a), (L.up, a)
+
+
+def test_chain_order_matches_oracle_on_catalog():
+    lattices = [co_chain(n) for n in range(1, 9)]
+    lattices += [l_mn(m, k) for m in range(1, 6) for k in range(1, 7 - m)]
+    pairs = [(L, a) for L in lattices for a in L.join_irreducibles]
+    assert len(pairs) == 121
+    for L, a in pairs:
+        assert _chain_or_none(chain_order(L, a)) == first_chain_order(L, a), (L.up, a)
+
+
+def test_chain_order_is_the_first_valid_permutation():
+    # the bipartition guess once found (3, 1, 5, 2) at this anchor
+    L = FinLattice((511, 466, 420, 328, 464, 416, 320, 384, 256))
+    assert first_chain_order(L, 5) == (2, 5, 1, 3)
+    assert chain_order(L, 5).chain == (2, 5, 1, 3)
 
 
 def test_induced_map_positions():
@@ -218,6 +248,19 @@ def test_sub_zero_is_trivial_variety():
 def test_sub_n_rejects_negative():
     with pytest.raises(ValueError):
         decide_sub_n(co_chain(2), -1)
+
+
+def test_least_level_is_the_widest_embedded_catalog_lattice():
+    # the catalog oracle: the least n with L in SUB(n) is the largest
+    # |J(K)| over the catalog SI lattices K that embed in L
+    levels = []
+    for L in iter_lattices(8):
+        if decide_sub_lo(L).accepted:
+            level = catalog_level(L)
+            assert decide_sub_n(L, level), L.up
+            assert level == 0 or not decide_sub_n(L, level - 1), L.up
+            levels.append(level)
+    assert [levels.count(n) for n in range(5)] == [1, 35, 0, 67, 1]
 
 
 def test_distributive_in_sub_two():

@@ -32,9 +32,11 @@ def test_one_backtracker_in_lattice():
     assert text.count("def extend") == 1
 
 
-@pytest.mark.parametrize("name", ["_derived_hom", "_config_source", "_resolve_target"])
+@pytest.mark.parametrize("name", ["_derived_hom", "_config_source", "_resolve_target",
+                                  "_bipartition_chain", "_block_sort"])
 def test_merged_map_builders_gone(name):
-    # replaced by _ji_extension and catalog._catalog_target
+    # replaced by _ji_extension and catalog._catalog_target; the chain
+    # search's bipartition guess by its exact backtracking alone
     assert not [p.name for p in SOURCES if name in p.read_text()]
 
 
