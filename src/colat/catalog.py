@@ -11,6 +11,7 @@ irreducible members of SUB(LO), which is what classify_si leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .depend import WeakBiTrack, WeakTrack, is_weak_bitrack
@@ -27,58 +28,49 @@ from .membership import decide_sub_lo
 from .poset import Poset, PosetError
 
 
-def _chain_co(n: int) -> tuple[FinLattice, list[int]]:
-    """Co(n-chain) and the convex-set mask of each element.
+@lru_cache(maxsize=None)
+def _catalog_target(tag: str, params: tuple[int, ...]) -> tuple[FinLattice, tuple[int, ...]]:
+    """The catalog lattice of an SIClass tag and params, with its generators.
 
-    Every catalog lattice is built here.  The 16-element bound of
+    Every catalog lattice is built here, once per tag and params; callers
+    share the result and never write to it.  The 16-element bound of
     Poset.convex_sets is checked before the chain is built, which alone
-    takes seconds at a few thousand elements.
+    takes seconds at a few thousand elements.  The generator at chain
+    position i is the singleton {i}, except that position m of L(m,n)
+    holds c_m = {m-1, m}.
     """
+    if tag == "co_chain":
+        (n,) = params
+    elif tag == "lmn":
+        m, k = params
+        if m < 1 or k < 1:
+            raise ValueError("both side lengths must be at least 1")
+        n = m + k + 1
+    else:
+        raise ValueError(f"unknown target kind {tag!r}")
     if n < 1:
         raise ValueError("chain must have at least one element")
     if n > 16:
         raise PosetError("convex-set enumeration limited to 16 elements")
-    return Poset.chain(n).co_lattice()
-
-
-def co_chain(n: int) -> FinLattice:
-    """The lattice of order-convex subsets of the n-element chain."""
-    return _chain_co(n)[0]
-
-
-def _lmn_parts(m: int, n: int) -> tuple[FinLattice, list[int]]:
-    if m < 1 or n < 1:
-        raise ValueError("both side lengths must be at least 1")
-    full, masks = _chain_co(m + n + 1)
-    keep = [i for i, s in enumerate(masks) if not (s >> m) & 1 or (s >> (m - 1)) & 1]
-    labels = tuple(full.label_of(e) for e in keep)
-    return FinLattice(_restrict(full.up, keep), labels), [masks[e] for e in keep]
-
-
-def _catalog_target(tag: str, params) -> tuple[FinLattice, tuple[int, ...]]:
-    """The catalog lattice of an SIClass tag and params, with its generators.
-
-    The generator at chain position i is the singleton {i}, except that
-    position m of L(m,n) holds c_m = {m-1, m}.
-    """
-    if tag == "co_chain":
-        (n,) = params
-        T, masks = _chain_co(n)
-        gens = [1 << i for i in range(n)]
-    elif tag == "lmn":
-        m, n = params
-        T, masks = _lmn_parts(m, n)
-        gens = [1 << i for i in range(m + n + 1)]
+    T, masks = Poset.chain(n).co_lattice()
+    gens = [1 << i for i in range(n)]
+    if tag == "lmn":
+        keep = [i for i, s in enumerate(masks) if not (s >> m) & 1 or (s >> (m - 1)) & 1]
+        T = FinLattice(_restrict(T.up, keep), tuple(T.label_of(e) for e in keep))
+        masks = [masks[e] for e in keep]
         gens[m] |= 1 << (m - 1)
-    else:
-        raise ValueError(f"unknown target kind {tag!r}")
     at = {s: e for e, s in enumerate(masks)}
     return T, tuple(at[s] for s in gens)
 
 
+def co_chain(n: int) -> FinLattice:
+    """The lattice of order-convex subsets of the n-element chain."""
+    return _catalog_target("co_chain", (n,))[0]
+
+
 def l_mn(m: int, n: int) -> FinLattice:
     """Convex subsets X of the (m+n+1)-chain with m in X forcing m-1 in X."""
-    return _lmn_parts(m, n)[0]
+    return _catalog_target("lmn", (m, n))[0]
 
 
 def canonical_bitrack(m: int, n: int) -> WeakBiTrack:

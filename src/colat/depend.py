@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .lattice import FinLattice, LatticeError, LatticeMap, _ji_extension, bits
+from .lattice import FinLattice, LatticeError, LatticeMap, _ji_extension
 
 
 def min_covers(L: FinLattice, p: int) -> list[tuple[int, ...]]:
@@ -16,6 +16,11 @@ def min_covers(L: FinLattice, p: int) -> list[tuple[int, ...]]:
     (each member below some member of E) contains E.  Candidates are
     antichains of join-irreducibles not above p; supersets of covers are
     never minimal, so the search stops as soon as the join reaches p.
+    A candidate is minimal iff is_minimal_in(L, p, e, v(E - e)) holds for
+    each member e (Freese, Jezek and Nation, Free Lattices, ch. 2): a
+    cover G refining E that misses e lies below e_* v v(E - e), and when
+    that join is above p, the join-irreducibles below e_* together with
+    E - e form such a G.
     """
     if p not in L.join_irreducibles:
         raise ValueError(f"element {p} is not join-irreducible")
@@ -29,45 +34,40 @@ def min_covers(L: FinLattice, p: int) -> list[tuple[int, ...]]:
                 continue
             v = L.join_table[join_val][e]
             chosen.append(e)
-            if L.leq(p, v):
-                covers.append(tuple(sorted(chosen)))
-            else:
+            if not L.leq(p, v):
                 extend(k + 1, chosen, v)
+            elif all(is_minimal_in(L, p, c, L.join_of(d for d in chosen if d != c))
+                     for c in chosen):
+                covers.append(tuple(sorted(chosen)))
             chosen.pop()
 
     extend(0, [], L.bottom)
-    # e is not minimal when another cover g refines it, that is, when the
-    # members of g all lie in the down-set of e; g's least member does too
-    members = {e: sum(1 << x for x in e) for e in covers}
-    by_least: dict[int, list[tuple[int, ...]]] = {}
-    for e in covers:
-        by_least.setdefault(e[0], []).append(e)
-    out = []
-    for e in covers:
-        down = 0
-        for y in e:
-            down |= L.down[y]
-        if not any(g != e and not members[g] & ~down
-                   for x in bits(down) for g in by_least.get(x, ())):
-            out.append(e)
-    out.sort()
-    return out
+    covers.sort()
+    return covers
 
 
 def dependents(L: FinLattice, a: int) -> tuple[int, ...]:
     """Join-irreducibles occurring in some minimal nontrivial join-cover of a.
 
+    These are the k != a in J(L) with a D k: some x has a <= k v x but
+    not a <= k_* v x, where k_* is the lower cover of k.  Given such an
+    x, every cover refining {k} u J(x) contains k, since the others lie
+    below k_* v x; and every nontrivial cover refines to a minimal one,
+    which then contains k.  Conversely, for a minimal cover E containing
+    k, x = v(E - k) works: were a <= k_* v x, the join-irreducibles below
+    k_* with E - k would refine E without k.
+
     Never a singleton: a minimal cover has at least two members, since a
     one-element nontrivial cover would put a below that element.
     """
-    seen: set[int] = set()
-    for e in min_covers(L, a):
-        seen.update(e)
-    return tuple(sorted(seen))
+    if a not in L.join_irreducibles:
+        raise ValueError(f"element {a} is not join-irreducible")
+    return tuple(k for k in L.join_irreducibles if k != a
+                 and any(is_minimal_in(L, a, k, x) for x in range(L.n)))
 
 
 def dependency_closure(L: FinLattice, a: int) -> tuple[int, ...]:
-    """The anchor together with its dependents, ascending."""
+    """J_a(L): the anchor together with its dependents, ascending."""
     return tuple(sorted({a, *dependents(L, a)}))
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Optional
 
 from .depend import dependency_closure
@@ -68,124 +67,58 @@ def induced_map(L: FinLattice, chain: tuple[int, ...]) -> tuple[tuple[int, ...],
     )
 
 
-def _intervals_of(phi: tuple[tuple[int, ...], ...]):
-    """Convert position tuples to (lo, hi) intervals, or None on a gap."""
-    out = []
-    for pos in phi:
-        if not pos:
-            out.append(None)
-        elif pos[-1] - pos[0] + 1 == len(pos):
-            out.append((pos[0], pos[-1]))
-        else:
-            return None
-    return out
-
-
-def _intervals_are_hom(L: FinLattice, iv) -> bool:
-    # join of convex sets in a chain is the hull, meet is intersection
-    for x in range(L.n):
-        for y in range(x + 1, L.n):
-            a, b = iv[x], iv[y]
-            if a is None:
-                hull = b
-            elif b is None:
-                hull = a
-            else:
-                hull = (min(a[0], b[0]), max(a[1], b[1]))
-            if iv[L.join(x, y)] != hull:
-                return False
-            if a is None or b is None:
-                cap = None
-            else:
-                lo, hi = max(a[0], b[0]), min(a[1], b[1])
-                cap = (lo, hi) if lo <= hi else None
-            if iv[L.meet(x, y)] != cap:
-                return False
-    return True
-
-
-def _chain_is_valid(L: FinLattice, chain: tuple[int, ...]) -> bool:
-    iv = _intervals_of(induced_map(L, chain))
-    return iv is not None and _intervals_are_hom(L, iv)
-
-
 def _permutation_chain(L: FinLattice, ja: tuple[int, ...]) -> tuple[int, ...] | None:
     """Backtracking over total orders of ja, smallest element id first.
 
-    Two prunes keep the search shallow.  A trace that closed may not
-    reopen (convexity).  For b strictly below u v w, once any member of
-    the joined trace is placed its leftmost position is frozen, and b
-    placed before it, or after all of it, can never land in the hull.
+    Traces are bitmasks over the indices of ja, and both prunes are exact.
+    A trace that closed may not reopen: seen holds the elements of L hit
+    so far and run those hit by the last member placed.  For x, y in L,
+    the trace of x v y must be the hull of the traces of x and y, so a
+    member of extra, the part of it outside both traces, must come after
+    some member of both and before the last of them.  Every leaf reached
+    is therefore a valid order.
     """
     k = len(ja)
-    triples = []
-    for u, w in combinations(ja, 2):
-        uw = L.join(u, w)
-        members = tuple(c for c in ja if L.leq(c, u) or L.leq(c, w))
-        for b in ja:
-            if b != u and b != w and L.leq(b, uw) and not L.leq(b, u) and not L.leq(b, w):
-                triples.append((b, members))
-
+    tr = [0] * L.n
+    for i, b in enumerate(ja):
+        for x in bits(L.up[b]):
+            tr[x] |= 1 << i
+    jt = L.join_table
+    rules = {(tr[x] | tr[y], tr[jt[x][y]] & ~(tr[x] | tr[y]))
+             for x in range(L.n) for y in range(x + 1, L.n)}
+    rules = [(both, extra) for both, extra in rules if extra]
+    opens = [[both for both, extra in rules if extra >> i & 1] for i in range(k)]
+    closes = [[(both, extra) for both, extra in rules if both >> i & 1] for i in range(k)]
+    hits = [L.up[b] for b in ja]
+    full = (1 << k) - 1
     prefix: list[int] = []
-    placed: dict[int, int] = {}
-    states = [0] * L.n  # 0 no hit yet, 1 open run, 2 run closed
 
-    def hull_ok() -> bool:
-        for b, members in triples:
-            known = [placed[c] for c in members if c in placed]
-            closed = len(known) == len(members)
-            pb = placed.get(b)
-            if pb is None:
-                if closed:
-                    return False  # b can only land after the whole hull
-            else:
-                if not known or min(known) > pb:
-                    return False
-                if closed and max(known) < pb:
-                    return False
-        return True
-
-    def extend() -> tuple[int, ...] | None:
-        if len(prefix) == k:
-            chain = tuple(prefix)
-            return chain if _chain_is_valid(L, chain) else None
-        for e in ja:
-            if e in placed:
+    def extend(placed: int, seen: int, run: int) -> bool:
+        if placed == full:
+            return True
+        for i in bits(full & ~placed):
+            now = placed | 1 << i
+            if (hits[i] & seen & ~run
+                    or not all(placed & both for both in opens[i])
+                    or any(not both & ~now and extra & ~now for both, extra in closes[i])):
                 continue
-            saved = states.copy()
-            ok = True
-            for x in range(L.n):
-                if L.leq(e, x):
-                    if states[x] == 2:
-                        ok = False
-                        break
-                    states[x] = 1
-                elif states[x] == 1:
-                    states[x] = 2
-            if ok:
-                placed[e] = len(prefix)
-                prefix.append(e)
-                if hull_ok():
-                    got = extend()
-                    if got is not None:
-                        return got
-                prefix.pop()
-                del placed[e]
-            states[:] = saved
-        return None
+            prefix.append(ja[i])
+            if extend(now, seen | hits[i], hits[i]):
+                return True
+            prefix.pop()
+        return False
 
-    return extend()
+    return tuple(prefix) if extend(0, 0, 0) else None
 
 
 def chain_order(L: FinLattice, a: int) -> ChainOrderWitness | None:
     """Search a total order on J_a(L) whose trace map is a homomorphism.
 
-    The search is exhaustive backtracking, so the witness is the first
-    valid order of J_a(L) in itertools.permutations order over ascending
-    element ids, and None means that no order exists.
+    J_a(L) comes from the D relation (depend.dependents).  The search is
+    exhaustive backtracking with exact prunes, so the witness is the
+    first valid order of J_a(L) in itertools.permutations order over
+    ascending element ids, and None means that no order exists.
     """
-    if a not in L.join_irreducibles:
-        raise ValueError(f"element {a} is not join-irreducible")
     chain = _permutation_chain(L, dependency_closure(L, a))
     return ChainOrderWitness(a, chain) if chain is not None else None
 
@@ -228,6 +161,21 @@ def decide_sub_n(L: FinLattice, n: int, workers: int = 1) -> bool:
     return result.accepted and max(result.certificate.chain_sizes, default=0) <= n
 
 
+def _is_convex_hom(L: FinLattice, chain: tuple[int, ...]) -> bool:
+    """Every trace on chain, as a position mask, is an interval; the trace
+    of each join is the hull of the two traces and of each meet their
+    intersection."""
+    def hull(mask: int) -> int:
+        return mask and (1 << mask.bit_length()) - (mask & -mask)
+
+    tr = [sum(1 << i for i, b in enumerate(chain) if L.leq(b, x)) for x in range(L.n)]
+    if any(t != hull(t) for t in tr):
+        return False
+    jt, mt = L.join_table, L.meet_table
+    return all(tr[jt[x][y]] == hull(tr[x] | tr[y]) and tr[mt[x][y]] == tr[x] & tr[y]
+               for x in range(L.n) for y in range(x + 1, L.n))
+
+
 def verify_certificate(L: FinLattice, cert: EmbeddingCertificate) -> bool:
     """Independent check: anchors, traces, homomorphism, injectivity, size.
 
@@ -245,11 +193,7 @@ def verify_certificate(L: FinLattice, cert: EmbeddingCertificate) -> bool:
     for w, stored in zip(cert.witnesses, cert.maps):
         if tuple(sorted(w.chain)) != dependency_closure(L, w.anchor):
             return False
-        phi = induced_map(L, w.chain)
-        if stored != phi:
-            return False
-        iv = _intervals_of(phi)
-        if iv is None or not _intervals_are_hom(L, iv):
+        if stored != induced_map(L, w.chain) or not _is_convex_hom(L, w.chain):
             return False
     for x in range(L.n):
         for y in range(x + 1, L.n):

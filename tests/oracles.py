@@ -1,6 +1,5 @@
 """Slow reference implementations that the tests compare the package against."""
 
-from functools import lru_cache
 from itertools import combinations, permutations
 
 from colat.catalog import co_chain, l_mn
@@ -107,7 +106,6 @@ def first_chain_order(L: FinLattice, a: int) -> tuple[int, ...] | None:
     return None
 
 
-@lru_cache(maxsize=None)
 def _catalog_si(size: int) -> tuple[FinLattice, ...]:
     """The catalog SI lattices with size join-irreducibles."""
     return ((co_chain(size),) if size != 2 else ()) + tuple(

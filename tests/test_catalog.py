@@ -81,6 +81,12 @@ def test_chain_bound_checked_before_the_chain(monkeypatch, build):
         build()
 
 
+def test_catalog_lattices_are_built_once():
+    # co_chain, l_mn and _catalog_target share one memoised build
+    assert co_chain(5) is co_chain(5) is _catalog_target("co_chain", (5,))[0]
+    assert l_mn(2, 1) is l_mn(2, 1) is _catalog_target("lmn", (2, 1))[0]
+
+
 def test_lmn_11_is_pentagon(pentagon):
     L = l_mn(1, 1)
     assert L.n == 5

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from colat.catalog import l_mn
 from colat.depend import (
     WeakBiTrack,
     WeakTrack,
@@ -99,6 +100,26 @@ def test_min_covers_match_subset_oracle(builder):
     for p in L.join_irreducibles:
         got = {frozenset(e) for e in min_covers(L, p)}
         assert got == _brute_min_covers(L, p)
+
+
+def test_min_covers_match_subset_oracle_up_to_seven():
+    lattices = list(iter_lattices(7))
+    assert len(lattices) == 78
+    for L in lattices:
+        for p in L.join_irreducibles:
+            got = {frozenset(e) for e in min_covers(L, p)}
+            assert got == _brute_min_covers(L, p), (L.up, p)
+
+
+def test_dependents_are_the_members_of_minimal_covers():
+    # the D relation against its definition through min_covers
+    lattices = list(iter_lattices(9))
+    lattices += [co_chain(n)[0] for n in range(1, 11)]
+    lattices += [l_mn(m, k) for m in range(1, 5) for k in range(1, 5)]
+    for L in lattices:
+        for a in L.join_irreducibles:
+            members = sorted({k for e in min_covers(L, a) for k in e})
+            assert dependents(L, a) == tuple(members), (L.up, a)
 
 
 def test_min_covers_rejects_join_reducible():

@@ -33,10 +33,13 @@ def test_one_backtracker_in_lattice():
 
 
 @pytest.mark.parametrize("name", ["_derived_hom", "_config_source", "_resolve_target",
-                                  "_bipartition_chain", "_block_sort"])
+                                  "_bipartition_chain", "_block_sort", "_intervals_of",
+                                  "_intervals_are_hom", "_chain_is_valid", "by_least"])
 def test_merged_map_builders_gone(name):
     # replaced by _ji_extension and catalog._catalog_target; the chain
-    # search's bipartition guess by its exact backtracking alone
+    # search's bipartition guess and leaf re-check by its exact prunes,
+    # the interval traces by position masks, and min_covers' cross-cover
+    # filter by the lower-cover test
     assert not [p.name for p in SOURCES if name in p.read_text()]
 
 
