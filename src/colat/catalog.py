@@ -141,6 +141,8 @@ class VarietyPosition:
 
 
 def variety_position(L: FinLattice) -> VarietyPosition:
+    """least_n is 0 for the one-element lattice, else max(2, least n with
+    decide_sub_n(L, n)): SUB(1) = SUB(2), so a distributive lattice reports 2."""
     result = decide_sub_lo(L)
     if not result.accepted:
         raise LatticeError("variety position is defined for accepted lattices only")

@@ -201,22 +201,20 @@ class Identity:
 
     # check's derived data, kept on the identity so that a later call costs
     # one attribute read: the runs of _symmetric_runs, the node list of both
-    # terms with the inclusions to test, and the node lists of _compile by
-    # (prefix length, want_eq)
+    # terms with the inclusions to test, and _compile's by prefix length
     @cached_property
     def _run_ends(self) -> tuple[int, ...]:
         return _symmetric_runs(self)
 
     @cached_property
-    def _sides(self) -> tuple[list, dict]:
-        """_term_nodes of lhs and rhs, and by want_eq the inclusions (p, q)
-        between them that Whitman's algorithm does not prove for every
-        lattice (lhs <= rhs alone for E, P, HS and D2DUAL)."""
+    def _sides(self) -> tuple[list, list]:
+        """_term_nodes of lhs and rhs, and the inclusions (p, q) to test: lhs <= rhs
+        and, for "eq", rhs <= lhs, less those that Whitman's algorithm proves
+        for every lattice (only lhs <= rhs is left for E, P, HS and D2DUAL)."""
         nodes, lhs, rhs = _term_nodes(self.variables, self.lhs, self.rhs)
+        wanted = [(lhs, rhs), (rhs, lhs)] if self.relation == "eq" else [(lhs, rhs)]
         memo: dict = {}
-        tested = {pq: not _free_leq(nodes, *pq, memo) for pq in ((lhs, rhs), (rhs, lhs))}
-        return nodes, {False: [(lhs, rhs)] if tested[lhs, rhs] else [],
-                       True: [pq for pq, keep in tested.items() if keep]}
+        return nodes, [pq for pq in wanted if not _free_leq(nodes, *pq, memo)]
 
     @cached_property
     def _compiled(self) -> dict:
@@ -402,20 +400,6 @@ def eval_term(L: FinLattice, t: Term, env: dict[str, int]) -> int:
     return acc
 
 
-def naive_check(L: FinLattice, ident: Identity, one_sided: bool = False) -> CheckResult:
-    """Reference sweep in pure python; first failure in lexicographic order."""
-    names = ident.variables
-    want_eq = ident.relation == "eq" and not one_sided
-    for values in itertools.product(range(L.n), repeat=len(names)):
-        env = dict(zip(names, values))
-        lv = eval_term(L, ident.lhs, env)
-        rv = eval_term(L, ident.rhs, env)
-        ok = lv == rv if want_eq else L.leq(lv, rv)
-        if not ok:
-            return CheckResult(ident.name, False, env, L.n ** len(names))
-    return CheckResult(ident.name, True, None, L.n ** len(names))
-
-
 def _term_nodes(variables, lhs: Term, rhs: Term):
     """CSE two terms into one node list, children first.
 
@@ -475,7 +459,7 @@ def _symmetric_runs(ident: Identity) -> tuple[int, ...]:
     return tuple(ends)
 
 
-def _compile(ident: Identity, n_prefix: int, want_eq: bool):
+def _compile(ident: Identity, n_prefix: int):
     """CSE the compared terms into one topologically sorted node list.
 
     A node is (kind, vi, kids, keyvars).  A variable node carries its
@@ -489,13 +473,12 @@ def _compile(ident: Identity, n_prefix: int, want_eq: bool):
     closure, so its value, and the value of every node that reads it,
     may lie below the exact one.  Last come the inner axes, each
     (first, k): the k variables from first on are one variable, or the
-    inner part of a run of _symmetric_runs.  Compiled once per identity,
-    prefix length and want_eq.
+    inner part of a run of _symmetric_runs.  Compiled once per identity
+    and prefix length.
     """
-    got = ident._compiled.get((n_prefix, want_eq))
+    got = ident._compiled.get(n_prefix)
     if got is None:
         terms, sides = ident._sides
-        sides = sides[want_eq]
         left, stack = set(), [p for p, _ in sides]
         while stack:
             k = stack.pop()
@@ -514,7 +497,7 @@ def _compile(ident: Identity, n_prefix: int, want_eq: bool):
         while i < len(ends):
             axes.append((i, ends[i] - i))
             i = ends[i]
-        got = ident._compiled[n_prefix, want_eq] = nodes, sides, tuple(axes)
+        got = ident._compiled[n_prefix] = nodes, sides, tuple(axes)
     return got
 
 
@@ -612,15 +595,12 @@ class _Sweep:
         return int(cells[hits[0]]) if hits.size else None
 
 
-def check(L: FinLattice, ident: Identity, workers: int = 1,
-          one_sided: bool = False, force: bool = False) -> CheckResult:
+def check(L: FinLattice, ident: Identity, workers: int = 1, force: bool = False) -> CheckResult:
     """Exhaustively check an identity on a finite lattice.
 
-    one_sided restricts an "eq" check to the left-below-right inclusion;
-    sound only when the converse inclusion holds in every lattice, as it
-    does for the built-ins.  The reported witness is the lexicographically
-    least counter-assignment in the declared variable order, independent
-    of worker count.  A check of more than one chunk first runs the
+    The reported witness is the lexicographically least
+    counter-assignment in the declared variable order, independent of
+    worker count.  A check of more than one chunk first runs the
     demand search of _locate, which returns "holds" without sweeping or
     names the chunk of the least witness; the sweep starts at that chunk,
     or where the search gave up.  ASSIGNMENT_GUARD then bounds the cells
@@ -636,7 +616,7 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
     # every search shares one budget of total / 1024 pushed states, at most
     # guard / 1024 without force; the min_covers set-up is outside it
     budget = (total if force else min(total, ASSIGNMENT_GUARD)) >> 10
-    refuted, start = _locate(L, ident, one_sided, budget, c) if c else (None, ())
+    refuted, start = _locate(L, ident, budget, c) if c else (None, ())
     if refuted is False:
         return CheckResult(ident.name, True, None, total)
     skipped = sum(t * n ** (v - 1 - i) for i, t in enumerate(start))
@@ -645,8 +625,7 @@ def check(L: FinLattice, ident: Identity, workers: int = 1,
             f"assignment space {n}^{v} exceeds {ASSIGNMENT_GUARD} and the demand "
             "search gave up; pass force=True to sweep anyway"
         )
-    want_eq = ident.relation == "eq" and not one_sided
-    nodes, sides, axes = _compile(ident, c, want_eq)
+    nodes, sides, axes = _compile(ident, c)
     codes, ops = _encoding(L)
     # each inner variable's axis and codes along it, from its column of the
     # axis's table of non-decreasing tuples
@@ -878,7 +857,7 @@ class _Demand:
         return False
 
 
-def _locate(L: FinLattice, ident: Identity, one_sided: bool, budget,
+def _locate(L: FinLattice, ident: Identity, budget,
             depth: int = 0) -> tuple[bool | None, tuple[int, ...]]:
     """Find with the demand search the slab of ident's least counter-assignment.
 
@@ -892,7 +871,6 @@ def _locate(L: FinLattice, ident: Identity, one_sided: bool, budget,
     proves for every lattice is skipped (rhs <= lhs for E, P, HS, D2DUAL).
     """
     nodes, sides = ident._sides
-    sides = sides[ident.relation == "eq" and not one_sided]
     search = _Demand(L, nodes, budget)
 
     def refutes(prefix):
@@ -915,13 +893,10 @@ def _locate(L: FinLattice, ident: Identity, one_sided: bool, budget,
     return refuted, start
 
 
-def decide_identity(L: FinLattice, ident: Identity, one_sided: bool = False) -> bool:
-    """Whether ident holds in L, decided over J(L) without a witness.
-
-    Gives the verdict of check with one_sided meaning the same; for the
-    least counter-assignment, call check.
-    """
-    return not _locate(L, ident, one_sided, math.inf)[0]
+def decide_identity(L: FinLattice, ident: Identity) -> bool:
+    """Whether ident holds in L, decided over J(L): the verdict of check,
+    without its least counter-assignment."""
+    return not _locate(L, ident, math.inf)[0]
 
 
 # -- semantic interpretations over the join-irreducibles ---------------------------

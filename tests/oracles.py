@@ -1,10 +1,11 @@
 """Slow reference implementations that the tests compare the package against."""
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from colat.catalog import co_chain, l_mn
 from colat.depend import dependency_closure
 from colat.lattice import FinLattice, LatticeMap, bits, embedding_search
+from colat.terms import CheckResult, Identity, Term
 
 
 def _derived_hom(K: FinLattice, target: FinLattice, bot_img: int,
@@ -59,6 +60,29 @@ def backtracking_surjections(K: FinLattice, L: FinLattice):
 
     for b in range(L.n):
         yield from extend(0, b, {})
+
+
+def _value(L: FinLattice, t: Term, env: dict[str, int]) -> int:
+    if t.kind == "var":
+        return env[t.name]
+    table = L.join_table if t.kind == "join" else L.meet_table
+    acc = _value(L, t.children[0], env)
+    for c in t.children[1:]:
+        acc = table[acc][_value(L, c, env)]
+    return acc
+
+
+def naive_check(L: FinLattice, ident: Identity) -> CheckResult:
+    """The sweep of every assignment in pure python, in lexicographic order
+    of the declared variables; the first where the two sides differ ("eq")
+    or lhs is not below rhs ("leq") is the witness."""
+    names, total = ident.variables, L.n ** len(ident.variables)
+    for values in product(range(L.n), repeat=len(names)):
+        env = dict(zip(names, values))
+        lv, rv = _value(L, ident.lhs, env), _value(L, ident.rhs, env)
+        if not (lv == rv if ident.relation == "eq" else L.leq(lv, rv)):
+            return CheckResult(ident.name, False, env, total)
+    return CheckResult(ident.name, True, None, total)
 
 
 def d_closure(L: FinLattice) -> set[tuple[int, int]]:

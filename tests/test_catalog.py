@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from colat.catalog import (
@@ -17,11 +19,12 @@ from colat.lattice import (
     direct_product,
     embedding_search,
     find_isomorphism,
+    iter_lattices,
     lattice_from_json,
     monolith,
     principal_congruence,
 )
-from colat.membership import decide_sub_lo
+from colat.membership import decide_sub_lo, decide_sub_n
 from colat.poset import Poset, PosetError
 
 
@@ -268,6 +271,15 @@ def test_position_trivial_lattice():
 def test_position_rejects_non_member(diamond):
     with pytest.raises(LatticeError):
         variety_position(diamond)
+
+
+def test_position_least_n_follows_decide_sub_n():
+    # 0 for the one-element lattice, else max(2, least n with decide_sub_n)
+    members = [L for L in iter_lattices(8) if decide_sub_lo(L).accepted]
+    assert len(members) == 104
+    for L in members:
+        least = next(n for n in itertools.count() if decide_sub_n(L, n))
+        assert variety_position(L).least_n == (0 if L.n == 1 else max(2, least)), L.up
 
 
 def test_position_anchor_width_matches_chain_bound():

@@ -52,16 +52,37 @@ def test_oracles_use_no_private_lattice_names():
 
 
 def test_one_sweep_kernel_in_terms():
-    # one scan, no switch between kernels, and naive_check the only reference
+    # one scan, no switch between kernels, and the reference sweep
+    # naive_check beside the tests, not in the package
     text = (SOURCES[0].parent / "terms.py").read_text()
     assert text.count("def scan") == 1
     assert not re.search(r"\bos\.|environ|getenv|import os\b", text)
     tree = ast.parse(text)
     checks = {node.name for node in tree.body
               if isinstance(node, ast.FunctionDef) and "check" in node.name}
-    assert checks == {"check", "naive_check", "check_sigma"}
-    refs = [p.name for p in SOURCES if "def naive_check" in p.read_text()]
-    assert refs == ["terms.py"]
+    assert checks == {"check", "check_sigma"}
+    tests = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    refs = [p.name for p in SOURCES + tests
+            if re.search(r"^def naive_check\b", p.read_text(), re.M)]
+    assert refs == ["oracles.py"]
+
+
+def test_identity_checks_take_no_one_sided_option():
+    # a check is a function of the lattice and the identity alone; an
+    # inclusion is an identity with relation "leq"
+    assert not [p.name for p in SOURCES if "one_sided" in p.read_text()]
+
+
+def test_readme_python_blocks_run(monkeypatch):
+    root = SOURCES[0].parents[2]
+    text = (root / "README.md").read_text()
+    blocks = list(re.finditer(r"^```python\n(.*?)^```", text, re.M | re.S))
+    assert blocks
+    monkeypatch.syspath_prepend(str(root / "src"))
+    for block in blocks:
+        # padded so that a traceback names the README's own line
+        padding = "\n" * text.count("\n", 0, block.start(1))
+        exec(compile(padding + block[1], "README.md", "exec"), {})
 
 
 def test_cli_reports_take_one_path():

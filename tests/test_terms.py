@@ -1,10 +1,12 @@
 """Parser, built-in identities, and the exhaustive checker.
 
-The naive pure-python sweep is the reference; the vectorized checker must
-match it bit for bit, including which counter-assignment gets reported.
+The naive pure-python sweep of oracles.naive_check is the reference; the
+vectorized checker must match it bit for bit, including which
+counter-assignment gets reported.
 """
 
 import collections
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import naive_check
 
 from colat.lattice import (
     FinLattice,
@@ -41,7 +44,6 @@ from colat.terms import (
     identity_to_json,
     join,
     meet,
-    naive_check,
     parse_term,
     term_to_sexpr,
     term_variables,
@@ -286,9 +288,8 @@ def test_chunked_path_matches_naive(monkeypatch):
     gave_up = set()
     located = []
 
-    def locate(L, ident, one_sided, budget, depth=0):
-        located.append(real_locate(L, ident, one_sided, budget if real_budget else math.inf,
-                                   depth))
+    def locate(L, ident, budget, depth=0):
+        located.append(real_locate(L, ident, budget if real_budget else math.inf, depth))
         return located[-1]
 
     for give_up, real_budget in [(0, True), (None, True), (None, False)] + [
@@ -354,8 +355,8 @@ def test_least_witnesses_on_co_p_and_co_q(monkeypatch):
     real_locate = terms._locate
     located = []
 
-    def locate(L, ident, one_sided, budget, depth=0):
-        located.append(real_locate(L, ident, one_sided, budget >> shift, depth))
+    def locate(L, ident, budget, depth=0):
+        located.append(real_locate(L, ident, budget >> shift, depth))
         return located[-1]
 
     # the default budget of total >> 10 states locates every witness's
@@ -390,8 +391,8 @@ def test_demand_search_path_pinned(monkeypatch):
         calls.append([p, q, list(prefix), got, self.budget])
         return got
 
-    def locate(L, ident, one_sided, budget, depth=0):
-        return real_locate(L, ident, one_sided, budget >> shift, depth)
+    def locate(L, ident, budget, depth=0):
+        return real_locate(L, ident, budget >> shift, depth)
 
     monkeypatch.setattr(terms._Demand, "refutes", refutes)
     monkeypatch.setattr(terms, "_locate", locate)
@@ -405,7 +406,7 @@ def test_demand_search_path_pinned(monkeypatch):
     for L in iter_lattices(6):
         for name in ("E", "P", "HS", "D2DUAL"):
             ident = builtin(name)
-            real_locate(L, ident, False, 64, len(ident.variables))
+            real_locate(L, ident, 64, len(ident.variables))
     # both parts refute, prove clean and give up
     for part in (calls[:bench], calls[bench:]):
         assert {got for *_, got, _ in part} == {True, False, None}
@@ -465,53 +466,42 @@ def test_sweep_encoding_boundaries(monkeypatch):
             assert got == refs[19, ident.name], (ident.name, workers)
 
 
-def test_one_sided_matches_naive_on_small_corpus():
-    # the converse inclusion holds universally for the built-in equalities
-    corpus = [L for size in range(1, 6) for L in lattices_of_size(size)]
-    for L in corpus:
-        for name in ("E", "P", "HS", "D2DUAL"):
-            ref = naive_check(L, builtin(name))
-            got = check(L, builtin(name), one_sided=True)
-            assert (got.holds, got.witness) == (ref.holds, ref.witness)
+def builtins_and_inclusions():
+    """Each builtin by name, each equality followed by its "leq" variant,
+    lhs <= rhs alone."""
+    for name in builtin_names():
+        ident = builtin(name)
+        yield ident
+        if ident.relation == "eq":
+            yield dataclasses.replace(ident, relation="leq")
 
 
 # sha256 of the compact JSON of (holds, witness, assignments) for every builtin
-# on every lattice of size <= 6, with one_sided=True as well for the equalities;
-# 225 checks, 16 failing; recorded once from naive_check, which takes about
-# 70 s over this corpus, so the test runs only check
+# on every lattice of size <= 6, with the "leq" variant of each equality as
+# well; 225 checks, 16 failing; recorded once from naive_check, which takes
+# about 70 s over this corpus, so the test runs only check
 PINNED_CHECKS = "e2425aa6bfef27dff09395fa5721266771e50f620d874670711291790b5d3f7f"
 
 
-def pinned_check_records(checker):
-    for L in iter_lattices(6):
-        for name in builtin_names():
-            ident = builtin(name)
-            sides = (False, True) if ident.relation == "eq" else (False,)
-            for one_sided in sides:
-                r = checker(L, ident, one_sided=one_sided)
-                yield [r.holds, r.witness, r.assignments]
-
-
 def test_check_pinned_up_to_size_6():
-    records = list(pinned_check_records(check))
+    idents = list(builtins_and_inclusions())
+    results = [check(L, ident) for L in iter_lattices(6) for ident in idents]
+    records = [[r.holds, r.witness, r.assignments] for r in results]
     text = json.dumps(records, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CHECKS
 
 
 # sha256 of the compact JSON list of naive_check verdicts for every builtin
-# on every lattice of size <= 7, in the order of pinned_check_records with
-# size 7, one_sided=True as well for the equalities; 702 checks, 98 failing;
-# recorded once, since naive_check takes about ten minutes over this corpus
+# on every lattice of size <= 7, in the order of test_check_pinned_up_to_size_6
+# with size 7, the "leq" variant of each equality as well; 702 checks, 98
+# failing; recorded once, since naive_check takes about ten minutes over this
+# corpus
 PINNED_VERDICTS = "9d7c7b6a89ab626b458282765cd956ee7145616bb45d4a67ad4d7121110ff510"
 
 
 def test_decide_identity_pinned_up_to_size_7():
-    verdicts = []
-    for L in iter_lattices(7):
-        for name in builtin_names():
-            ident = builtin(name)
-            sides = (False, True) if ident.relation == "eq" else (False,)
-            verdicts += [decide_identity(L, ident, one_sided) for one_sided in sides]
+    idents = list(builtins_and_inclusions())
+    verdicts = [decide_identity(L, ident) for L in iter_lattices(7) for ident in idents]
     text = json.dumps(verdicts, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_VERDICTS
 
@@ -546,10 +536,10 @@ SMALL = [L for L in iter_lattices(6) if L.n > 1]
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(st.sampled_from(SMALL), SIDES, st.sampled_from(("eq", "leq")), st.booleans())
-def test_decide_identity_matches_naive_on_random_terms(L, sides, relation, one_sided):
+@given(st.sampled_from(SMALL), SIDES, st.sampled_from(("eq", "leq")))
+def test_decide_identity_matches_naive_on_random_terms(L, sides, relation):
     ident = Identity("random", VARIABLES, relation, *sides)
-    assert decide_identity(L, ident, one_sided) == naive_check(L, ident, one_sided).holds
+    assert decide_identity(L, ident) == naive_check(L, ident).holds
 
 
 # -- sweeping each orbit of symmetric variables once ---------------------------------
@@ -579,18 +569,18 @@ def test_symmetric_runs_of_builtins():
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(st.sampled_from(SMALL), SIDES, st.integers(0, 2), st.sampled_from((join, meet)),
-       st.sampled_from(("eq", "leq")), st.booleans(), st.sampled_from((terms.CHUNK_CELLS, 7)))
-def test_symmetric_by_construction_matches_naive(L, sides, i, op, relation, one_sided, cells):
+       st.sampled_from(("eq", "leq")), st.sampled_from((terms.CHUNK_CELLS, 7)))
+def test_symmetric_by_construction_matches_naive(L, sides, i, op, relation, cells):
     # each side met or joined with its copy under x_i <-> x_i+1 is invariant
     # under that swap; at 7 cells a chunk the prefix cuts the runs
     swap = {VARIABLES[i]: VARIABLES[i + 1], VARIABLES[i + 1]: VARIABLES[i]}
     ident = Identity("symmetric", VARIABLES, relation,
                      *(op(t, rename(t, swap)) for t in sides))
     assert terms._symmetric_runs(ident)[i] > i + 1
-    ref = naive_check(L, ident, one_sided)
+    ref = naive_check(L, ident)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(terms, "CHUNK_CELLS", cells)
-        got = check(L, ident, one_sided=one_sided)
+        got = check(L, ident)
     assert (got.holds, got.witness) == (ref.holds, ref.witness)
 
 
@@ -643,7 +633,7 @@ def test_sweep_closes_only_left_sides_of_builtins():
     # its closure, and every join the right side alone reads does
     for name in builtin_names():
         ident = builtin(name)
-        nodes, sides, _ = terms._compile(ident, 0, ident.relation == "eq")
+        nodes, sides, _ = terms._compile(ident, 0)
         tree, lhs, rhs = terms._term_nodes(ident.variables, ident.lhs, ident.rhs)
         assert sides == [(lhs, rhs)], name
         left, stack = set(), [lhs]
@@ -723,7 +713,7 @@ def test_two_inclusion_sweep_matches_naive(cls, data, sides, cells):
     # Whitman's algorithm proves neither inclusion, so both are tested and
     # every node is read by a left side: none skips its closure
     ident = Identity("random", THREE, "eq", *sides)
-    assume(len(ident._sides[1][True]) == 2)
+    assume(len(ident._sides[1]) == 2)
     sweep_matches_naive(data.draw(st.sampled_from(BY_ENCODING[cls])), ident, cells)
 
 
