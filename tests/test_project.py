@@ -1,5 +1,7 @@
 """Tests for Lambda configurations, induced homomorphisms, and sections."""
 
+import hashlib
+import json
 from itertools import product as iproduct
 
 import pytest
@@ -10,8 +12,10 @@ from colat.lattice import (
     LatticeError,
     LatticeMap,
     direct_product,
+    iter_lattices,
     surjection_search,
 )
+from colat.membership import decide_sub_lo
 from colat.project import (
     LambdaConfig,
     hom_from_lambda,
@@ -251,3 +255,27 @@ class TestRetractSection:
         pi = LatticeMap(Lp, T, tuple(vals))
         with pytest.raises(LatticeError):
             retract_section(Lp, pi, ("co_chain", 3))
+
+
+# sha256 of the compact JSON list of section values, in the loop order of
+# test_sections_pinned: 497 from the members of size <= 8 onto the five SI
+# catalog lattices of at most 9 elements, then 31 from the products of
+# Co(2..5), L(1,1) and L(1,2) with at most 60 elements onto Co(3), L(1,1)
+# and L(1,2)
+SECTIONS = "be27942432dd53141bc614295afe02a820074cd70c267ac526f806a8f5e65676"
+
+
+def test_sections_pinned():
+    targets = [(("co_chain", 1), co_chain(1)), (("co_chain", 3), co_chain(3)),
+               (("lmn", 1, 1), l_mn(1, 1)), (("lmn", 1, 2), l_mn(1, 2)),
+               (("lmn", 2, 1), l_mn(2, 1))]
+    members = [L for L in iter_lattices(8) if decide_sub_lo(L).accepted]
+    base = [co_chain(2), co_chain(3), co_chain(4), co_chain(5), l_mn(1, 1), l_mn(1, 2)]
+    products = [P for i, a in enumerate(base) for b in base[i:]
+                if (P := direct_product(a, b)).n <= 60]
+    runs = [(L, targets) for L in members] + [(K, targets[1:4]) for K in base + products]
+    sections = [retract_section(K, pi, target).values
+                for K, ts in runs for target, T in ts for pi in surjection_search(K, T)]
+    assert len(sections) == 497 + 31
+    text = json.dumps(sections, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SECTIONS
