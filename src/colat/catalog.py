@@ -1,4 +1,5 @@
-"""Named lattices Co(n) and L_{m,n}, SI classification, variety position.
+"""Named lattices Co(n) and L_{m,n}, the maps out of them, SI classification,
+variety position.
 
 L_{m,n} is the sublattice of Co(m+n+1) of those convex sets X with
 m in X implying m-1 in X.  Its join-irreducibles are the singletons
@@ -19,6 +20,7 @@ from .lattice import (
     FinLattice,
     LatticeError,
     LatticeMap,
+    _ji_extension,
     _restrict,
     embedding_search,
     find_isomorphism,
@@ -86,6 +88,24 @@ def canonical_bitrack(m: int, n: int) -> WeakBiTrack:
     if not is_weak_bitrack(L, track):
         raise LatticeError(f"canonical bi-track of l_mn({m}, {n}) failed validation")
     return track
+
+
+def track_embedding(L: FinLattice, t: WeakBiTrack) -> LatticeMap:
+    """Embedding of the convex-subset lattice of an (m+n)-chain induced by a
+    weak bi-track: chain positions map to track entries, fanned out from the
+    shared head, and general convex sets go to joins of their members.
+
+    Raises LatticeError when the induced map is not an injective homomorphism.
+    """
+    m, n = t.index
+    xs, ys = t.first.entries, t.second.entries
+    # chain position i < m takes xs[m - i], position i >= m takes ys[i - m + 1]
+    img = xs[m:0:-1] + ys[1:]
+    K, gens = _catalog_target("co_chain", (m + n,))
+    cand = _ji_extension(K, L, L.meet_table[img[0]][img[1]], dict(zip(gens, img)))
+    if not cand.injective or not cand.preserves_ops():
+        raise LatticeError("track does not induce an embedding")
+    return cand
 
 
 @dataclass(frozen=True)

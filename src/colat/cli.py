@@ -58,11 +58,10 @@ def _loaded(parse, data):
 
     A LatticeError here means input that is no lattice, so main exits 2 on
     it and keeps exit 1 for the LatticeErrors that a computation raises.
-    Input nested too deeply for the recursive readers is an input error too.
     """
     try:
         return parse(data)
-    except (LatticeError, RecursionError) as exc:
+    except LatticeError as exc:
         raise ValueError(str(exc)) from None
 
 
@@ -443,7 +442,9 @@ def main(argv=None) -> int:
     inputs = _Inputs()
     try:
         code, payload, lines = ns.func(ns, inputs)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # a RecursionError comes from input nested too deeply for the
+        # recursive readers and term walks, so it is an input error too
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, LatticeError) else 2
     if "json" in ns:  # a report; co, catalog and dot print their artifact as is

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .lattice import FinLattice, LatticeError, LatticeMap, _ji_extension
+from .lattice import FinLattice
 
 
 def min_covers(L: FinLattice, p: int) -> list[tuple[int, ...]]:
@@ -280,22 +280,3 @@ def weak_bitracks(L: FinLattice, m: int, n: int):
                     continue
                 yield WeakBiTrack(f, s)
 
-
-def track_embedding(L: FinLattice, t: WeakBiTrack) -> LatticeMap:
-    """Embedding of the convex-subset lattice of an (m+n)-chain induced by a
-    weak bi-track: chain positions map to track entries, fanned out from the
-    shared head, and general convex sets go to joins of their members.
-
-    Raises LatticeError when the induced map is not an injective homomorphism.
-    """
-    from .catalog import _catalog_target  # catalog imports this module
-
-    m, n = t.index
-    xs, ys = t.first.entries, t.second.entries
-    # chain position i < m takes xs[m - i], position i >= m takes ys[i - m + 1]
-    img = xs[m:0:-1] + ys[1:]
-    K, gens = _catalog_target("co_chain", (m + n,))
-    cand = _ji_extension(K, L, L.meet_table[img[0]][img[1]], dict(zip(gens, img)))
-    if not cand.injective or not cand.preserves_ops():
-        raise LatticeError("track does not induce an embedding")
-    return cand

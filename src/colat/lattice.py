@@ -1,9 +1,11 @@
-"""Finite lattices: order tables, structure predicates, congruences, map searches."""
+"""Finite lattices: order tables, congruences, map searches."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 
 class LatticeError(ValueError):
@@ -206,8 +208,6 @@ class FinLattice:
     @cached_property
     def np_tables(self):
         """Flat int32 join and meet tables: entry i * n + j is i v j, i ^ j."""
-        import numpy as np
-
         join = np.array(self.join_table, dtype=np.int32)
         meet = np.array(self.meet_table, dtype=np.int32)
         return join.ravel(), meet.ravel()
@@ -219,8 +219,6 @@ class FinLattice:
         in S, so x ^ y is down_j[x] & down_j[y] and x v y is
         closure[down_j[x] | down_j[y]].  closure has 2^|J| entries.
         """
-        import numpy as np
-
         jis = self.join_irreducibles
         dtype = np.min_scalar_type((1 << len(jis)) - 1)
         down_j = np.array([sum(1 << i for i, j in enumerate(jis) if self.up[j] >> e & 1)
@@ -230,29 +228,6 @@ class FinLattice:
         for j in jis:
             elems = np.concatenate((elems, join[elems * self.n + j]))
         return down_j, down_j[elems]
-
-
-# -- structure predicates --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StructuralFlags:
-    distributive: bool
-    join_semidistributive: bool
-    dual_2_distributive: bool
-
-
-def structural_predicates(L: FinLattice) -> StructuralFlags:
-    """Evaluate the three structural laws by exhaustive assignment."""
-    from .terms import builtin, check  # terms imports this module
-
-    elems = range(L.n)
-    jt, mt = L.join_table, L.meet_table
-    distributive = all(mt[x][jt[y][z]] == jt[mt[x][y]][mt[x][z]]
-                       for x in elems for y in elems for z in elems)
-    jsd = not any(jt[a][c] == jt[a][b] and jt[a][mt[b][c]] != jt[a][b]
-                  for a in elems for b in elems for c in elems)
-    return StructuralFlags(distributive, jsd, check(L, builtin("D2DUAL"), force=True).holds)
 
 
 # -- congruences -------------------------------------------------------------

@@ -29,11 +29,11 @@ __all__ = [
 class LambdaConfig:
     """A tuple of prospective generator images plus the base element.
 
-    kind is "plain" (targets Co(n), shape (n,)) or "split" (targets
-    L(m,n), shape (m, n)).  generators lists elements of the ambient
-    lattice, one per chain position; in the split case position m
-    stands for the doubleton {m-1, m}.  base is the intended image of
-    the empty set.
+    kind and shape name the catalog lattice as _catalog_target does:
+    "co_chain" with (n,) for Co(n), "lmn" with (m, n) for L(m,n).
+    generators lists elements of the ambient lattice, one per chain
+    position; for L(m,n) position m stands for the doubleton {m-1, m}.
+    base is the intended image of the empty set.
     """
 
     kind: str
@@ -50,7 +50,7 @@ def plain_config(L: FinLattice, generators, base: Optional[int] = None) -> Lambd
         if len(gens) < 2:
             raise ValueError("base must be given explicitly for a single generator")
         base = L.meet(gens[0], gens[1])
-    return LambdaConfig("plain", (len(gens),), gens, base)
+    return LambdaConfig("co_chain", (len(gens),), gens, base)
 
 
 def split_config(L: FinLattice, m: int, n: int, generators) -> LambdaConfig:
@@ -59,39 +59,34 @@ def split_config(L: FinLattice, m: int, n: int, generators) -> LambdaConfig:
     gens = tuple(generators)
     if len(gens) != m + n + 1:
         raise ValueError(f"expected {m + n + 1} generators, got {len(gens)}")
-    return LambdaConfig("split", (m, n), gens, L.meet(gens[0], gens[2]))
+    return LambdaConfig("lmn", (m, n), gens, L.meet(gens[0], gens[2]))
 
 
-def _split_pairs(count: int, m: int):
-    """All unordered index pairs except {m-1, m}."""
-    for i, j in combinations(range(count), 2):
-        if (i, j) != (m - 1, m):
-            yield i, j
+def _meet_pairs(kind: str, shape: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
+    """The generator count and the index pairs whose meets are the base:
+    every pair for Co(n), every pair but {m-1, m} for L(m,n)."""
+    if kind == "co_chain":
+        (count,) = shape
+        skip = None
+    elif kind == "lmn":
+        m, n = shape
+        count, skip = m + n + 1, (m - 1, m)
+    else:
+        raise ValueError(f"unknown config kind {kind!r}")
+    return count, [ij for ij in combinations(range(count), 2) if ij != skip]
 
 
 def lambda_holds(L: FinLattice, config: LambdaConfig) -> bool:
     """Check the joint cover and constant meet conditions for config."""
-    gens = config.generators
-    if config.kind == "plain":
-        (n,) = config.shape
-        if len(gens) != n or n < 1:
-            raise ValueError("generator count does not match the declared shape")
-        if n == 1:
-            return L.leq(config.base, gens[0])
-        pairs = combinations(range(n), 2)
-    elif config.kind == "split":
-        m, n = config.shape
-        if len(gens) != m + n + 1:
-            raise ValueError("generator count does not match the declared shape")
-        if not L.leq(gens[m - 1], gens[m]):
-            return False
-        pairs = _split_pairs(m + n + 1, m)
-    else:
-        raise ValueError(f"unknown config kind {config.kind!r}")
-    for i, j in pairs:
-        if L.meet(gens[i], gens[j]) != config.base:
-            return False
-    return _covered(L, gens)
+    gens, base = config.generators, config.base
+    count, pairs = _meet_pairs(config.kind, config.shape)
+    if len(gens) != count or count < 1:
+        raise ValueError("generator count does not match the declared shape")
+    if config.kind == "lmn" and not L.leq(gens[config.shape[0] - 1], gens[config.shape[0]]):
+        return False
+    return (L.leq(base, gens[0])
+            and all(L.meet(gens[i], gens[j]) == base for i, j in pairs)
+            and _covered(L, gens))
 
 
 def _covered(L: FinLattice, gens) -> bool:
@@ -105,16 +100,15 @@ def _covered(L: FinLattice, gens) -> bool:
 def hom_from_lambda(L: FinLattice, config: LambdaConfig) -> LatticeMap:
     """Extend the generator assignment of config to a homomorphism.
 
-    The source is Co(n) for a plain config and L(m,n) for a split one.
-    Each convex set maps to the join of the generators at its positions
-    and the empty set maps to the base.  The extension is unique; if it
-    fails to be a homomorphism, L lies outside the class and an error
-    is raised.
+    The source is the catalog lattice that config.kind and config.shape
+    name, Co(n) or L(m,n).  Each convex set maps to the join of the
+    generators at its positions and the empty set maps to the base.  The
+    extension is unique; if it fails to be a homomorphism, L lies outside
+    the class and an error is raised.
     """
     if not lambda_holds(L, config):
         raise LatticeError("generators do not satisfy the joint cover conditions")
-    tag = "co_chain" if config.kind == "plain" else "lmn"
-    source, gen_elems = _catalog_target(tag, config.shape)
+    source, gen_elems = _catalog_target(config.kind, config.shape)
     phi = _ji_extension(source, L, config.base, dict(zip(gen_elems, config.generators)))
     if not phi.preserves_ops():
         raise LatticeError(
@@ -152,12 +146,7 @@ def retract_section(Lp: FinLattice, pi: LatticeMap, target) -> LatticeMap:
     for t, members in enumerate(classes):
         beta[t] = Lp.meet_of(members)
 
-    count = len(gen_elems)
-    if tag == "co_chain":
-        pairs = list(combinations(range(count), 2))
-    else:
-        pairs = list(_split_pairs(count, shape[0]))
-
+    _, pairs = _meet_pairs(tag, shape)
     a = [beta[g] for g in gen_elems]
     rounds = 0
     while True:
@@ -176,14 +165,10 @@ def retract_section(Lp: FinLattice, pi: LatticeMap, target) -> LatticeMap:
                 f"no stable tuple within {Lp.n} rounds; last tuple {a}"
             )
 
-    if tag == "co_chain" and count == 1:
-        base = beta[T.bottom]
-        config = LambdaConfig("plain", shape, tuple(a), base)
-    elif tag == "co_chain":
-        config = plain_config(Lp, a)
-    else:
-        config = split_config(Lp, shape[0], shape[1], a)
-    phi = hom_from_lambda(Lp, config)
+    # at the fixpoint every a_i >= b and each pairwise meet is <= b, so every
+    # pairwise meet is b; Co(1) has no pairs, and its base is the least preimage
+    base = b if pairs else beta[T.bottom]
+    phi = hom_from_lambda(Lp, LambdaConfig(tag, shape, tuple(a), base))
     for x in range(T.n):
         if pi(phi(x)) != x:
             raise LatticeError("section verification failed")

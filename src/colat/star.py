@@ -90,28 +90,15 @@ def _completions():
     idx = {lab: i for i, lab in enumerate(LABELS)}
     out = []
     for bits in product((0, 1), repeat=len(FREE)):
-        pairs = list(FORCED)
-        pairs.extend(FREE[k] for k in range(len(FREE)) if bits[k])
-        Q = Poset.from_covers(LABELS, pairs)
-        ok = True
-        for x, y in INCOMPARABLE:
-            i, j = idx[x], idx[y]
-            if Q.leq(i, j) or Q.leq(j, i):
-                ok = False
-                break
-        if ok:
-            for k in range(len(FREE)):
-                if not bits[k]:
-                    i, j = idx[FREE[k][0]], idx[FREE[k][1]]
-                    if Q.leq(i, j) or Q.leq(j, i):
-                        ok = False
-                        break
-        if ok:
+        chosen = [p for p, b in zip(FREE, bits) if b]
+        Q = Poset.from_covers(LABELS, list(FORCED) + chosen)
+        apart = INCOMPARABLE + tuple(p for p in FREE if p not in chosen)
+        if not any(Q.leq(idx[x], idx[y]) or Q.leq(idx[y], idx[x]) for x, y in apart):
             out.append((bits, Q))
     return out
 
 
-def _singleton_assignment(star: Identity, P: Poset, coP, masks):
+def _singleton_assignment(star: Identity, P: Poset, masks):
     at = {s: e for e, s in enumerate(masks)}
     env = {}
     for v in star.variables:
@@ -147,7 +134,7 @@ def search_pq(limit: int | None = None) -> list[SeparationWitness]:
     for _, bits, Q, coQ in ranked:
         P = Q.restrict(keep)
         coP, masks = P.co_lattice()
-        env = _singleton_assignment(star, P, coP, masks)
+        env = _singleton_assignment(star, P, masks)
         lv = eval_term(coP, star.lhs, env)
         rv = eval_term(coP, star.rhs, env)
         if coP.labels[lv] != "{1}" or rv != coP.bottom:

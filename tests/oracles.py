@@ -5,7 +5,7 @@ from itertools import combinations, permutations, product
 from colat.catalog import co_chain, l_mn
 from colat.depend import dependency_closure
 from colat.lattice import FinLattice, LatticeMap, bits, embedding_search
-from colat.terms import CheckResult, Identity, Term
+from colat.terms import CheckResult, Identity, Term, check, parse_term
 
 
 def _derived_hom(K: FinLattice, target: FinLattice, bot_img: int,
@@ -83,6 +83,15 @@ def naive_check(L: FinLattice, ident: Identity) -> CheckResult:
         if not (lv == rv if ident.relation == "eq" else L.leq(lv, rv)):
             return CheckResult(ident.name, False, env, total)
     return CheckResult(ident.name, True, None, total)
+
+
+DISTRIBUTIVE = Identity("distributive", ("x", "y", "z"), "eq",
+                        parse_term("(^ x (v y z))"), parse_term("(v (^ x y) (^ x z))"))
+
+
+def distributive(L: FinLattice) -> bool:
+    """Whether L satisfies the distributive law, by check."""
+    return check(L, DISTRIBUTIVE).holds
 
 
 def d_closure(L: FinLattice) -> set[tuple[int, int]]:

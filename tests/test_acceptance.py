@@ -15,11 +15,10 @@ from itertools import combinations
 import pytest
 
 from colat import cli
-from colat.catalog import canonical_bitrack, co_chain, l_mn
+from colat.catalog import canonical_bitrack, co_chain, l_mn, track_embedding
 from colat.depend import (
     check_dependency_invariants,
     interval_value_check,
-    track_embedding,
     is_weak_bitrack,
     weak_bitracks,
 )
@@ -29,7 +28,6 @@ from colat.lattice import (
     iter_lattices,
     lattice_from_json,
     monolith,
-    structural_predicates,
     surjection_search,
 )
 from colat.membership import (
@@ -41,6 +39,7 @@ from colat.membership import (
 from colat.project import retract_section
 from colat.star import search_pq, star_identity
 from colat.terms import builtin, check, check_sigma, eval_term
+from oracles import distributive
 
 WORKERS = min(8, os.cpu_count() or 1)
 
@@ -132,7 +131,7 @@ def test_03_membership_boundaries(capsys):
         assert decide_sub_n(pent, 3) and not decide_sub_n(pent, 2)
         dist = 0
         for name, L in _corpus():
-            if structural_predicates(L).distributive:
+            if distributive(L):
                 assert decide_sub_n(L, 2), name
                 dist += 1
         assert dist == 15

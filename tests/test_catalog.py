@@ -10,9 +10,10 @@ from colat.catalog import (
     classify_si,
     co_chain,
     l_mn,
+    track_embedding,
     variety_position,
 )
-from colat.depend import dependency_closure, is_weak_bitrack, track_embedding, weak_bitracks
+from colat.depend import dependency_closure, is_weak_bitrack, weak_bitracks
 from colat.lattice import (
     LatticeError,
     LatticeMap,

@@ -181,6 +181,22 @@ class TestCheck:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err and "Traceback" not in err
 
+    def test_deeply_nested_identity(self, tmp_path, capsys):
+        # 200 levels on each side exceed the recursion limit of Whitman's
+        # algorithm, which is an input error, not a traceback
+        rc, out, _ = run(capsys, "catalog", "co", "1")
+        two = tmp_path / "two.json"
+        two.write_text(out)
+        lhs = rhs = "x"
+        for _ in range(200):
+            lhs, rhs = f"(v {lhs} y)", f"(^ {rhs} y)"
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"vars": ["x", "y"], "relation": "eq",
+                                    "lhs": lhs, "rhs": rhs}))
+        rc, out, err = run(capsys, "check", str(two), "--identity", str(path))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_guard_refuses_large_sweep(self, tmp_path, capsys, monkeypatch):
         # the guard applies once the demand search gives up, made to here
         monkeypatch.setattr(terms._Demand, "refutes", lambda *args: None)

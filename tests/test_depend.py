@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from colat.catalog import l_mn
+from colat.catalog import l_mn, track_embedding
 from colat.depend import (
     WeakBiTrack,
     WeakTrack,
@@ -24,7 +24,6 @@ from colat.depend import (
     is_weak_track,
     min_covers,
     minimal_pairs,
-    track_embedding,
     weak_bitracks,
     weak_tracks,
 )

@@ -25,12 +25,12 @@ from colat.lattice import (
     lattices_of_size,
     monolith,
     principal_congruence,
-    structural_predicates,
     surjection_search,
 )
 from colat.membership import decide_sub_lo
 from colat.poset import Poset
-from oracles import backtracking_surjections, d_closure
+from colat.terms import builtin, check
+from oracles import backtracking_surjections, d_closure, distributive
 
 
 def chain_lattice(n: int) -> FinLattice:
@@ -83,20 +83,12 @@ def test_rejects_bowtie():
 
 
 def test_structural_predicates():
-    got = structural_predicates(chain_lattice(4))
-    assert got.distributive and got.join_semidistributive and got.dual_2_distributive
-    got = structural_predicates(pentagon())
-    assert not got.distributive
-    assert got.join_semidistributive
-    assert got.dual_2_distributive
-    got = structural_predicates(diamond())
-    assert not got.distributive
-    assert not got.join_semidistributive
+    d2dual = builtin("D2DUAL")
+    assert distributive(chain_lattice(4)) and check(chain_lattice(4), d2dual).holds
+    assert not distributive(pentagon()) and check(pentagon(), d2dual).holds
+    assert not distributive(diamond())
     L, _ = Poset.chain(4).co_lattice()
-    got = structural_predicates(L)
-    assert not got.distributive
-    assert got.join_semidistributive
-    assert got.dual_2_distributive
+    assert not distributive(L) and check(L, d2dual).holds
 
 
 def _brute_congruence_closure(L: FinLattice, a: int, b: int) -> tuple[int, ...]:
@@ -239,8 +231,7 @@ def test_principal_order_is_the_closure_of_d():
 def test_direct_product_shape():
     L = direct_product(chain_lattice(2), chain_lattice(3))
     assert L.n == 6
-    flags = structural_predicates(L)
-    assert flags.distributive
+    assert distributive(L)
     Co3, _ = Poset.chain(3).co_lattice()
     Co2, _ = Poset.chain(2).co_lattice()
     assert direct_product(Co3, Co2).n == 28

@@ -10,8 +10,8 @@ import json
 
 import pytest
 
-from colat.catalog import classify_si, co_chain, l_mn, variety_position
-from colat.depend import track_embedding, weak_bitracks
+from colat.catalog import classify_si, co_chain, l_mn, track_embedding, variety_position
+from colat.depend import weak_bitracks
 from colat.lattice import (
     LatticeError,
     direct_product,

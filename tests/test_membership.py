@@ -12,7 +12,6 @@ from colat.lattice import (
     iter_lattices,
     lattice_from_json,
     lattices_of_size,
-    structural_predicates,
 )
 from colat.membership import (
     ChainOrderWitness,
@@ -29,7 +28,7 @@ from colat.membership import (
 )
 from colat.poset import Poset
 from colat.terms import builtin, check
-from oracles import catalog_level, first_chain_order
+from oracles import catalog_level, distributive, first_chain_order
 
 
 def co_chain(n):
@@ -82,7 +81,7 @@ def test_chain_order_endpoint_is_trivial():
 
 def test_chain_order_distributive_always_singleton():
     L = direct_product(co_chain(1), direct_product(co_chain(1), co_chain(1)))
-    assert structural_predicates(L).distributive
+    assert distributive(L)
     for a in L.join_irreducibles:
         assert chain_order(L, a).chain == (a,)
 
@@ -262,7 +261,7 @@ def test_least_level_is_the_widest_embedded_catalog_lattice():
 
 def test_distributive_in_sub_two():
     for L in iter_lattices(6):
-        if structural_predicates(L).distributive:
+        if distributive(L):
             assert decide_sub_n(L, 2)
 
 

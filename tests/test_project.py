@@ -82,7 +82,7 @@ class TestLambdaHolds:
 
     def test_arity_mismatch(self):
         L = co_chain(3)
-        cfg = LambdaConfig("plain", (3,), (by_label(L, "{0}"),), L.bottom)
+        cfg = LambdaConfig("co_chain", (3,), (by_label(L, "{0}"),), L.bottom)
         with pytest.raises(ValueError):
             lambda_holds(L, cfg)
         with pytest.raises(ValueError):

@@ -66,7 +66,7 @@ class TestCompletions:
         for bits, Q in _completions():
             P = Q.restrict(keep)
             coP, masks = P.co_lattice()
-            env = _singleton_assignment(star, P, coP, masks)
+            env = _singleton_assignment(star, P, masks)
             assert coP.labels[eval_term(coP, star.lhs, env)] == "{1}"
             assert eval_term(coP, star.rhs, env) == coP.bottom
 

@@ -34,14 +34,36 @@ def test_one_backtracker_in_lattice():
 
 @pytest.mark.parametrize("name", ["_derived_hom", "_config_source", "_resolve_target",
                                   "_bipartition_chain", "_block_sort", "_intervals_of",
-                                  "_intervals_are_hom", "_chain_is_valid", "by_least"])
+                                  "_intervals_are_hom", "_chain_is_valid", "by_least",
+                                  "_split_pairs", '"plain"', '"split"',
+                                  "structural_predicates", "StructuralFlags"])
 def test_merged_map_builders_gone(name):
     # replaced by _ji_extension and catalog._catalog_target; the chain
     # search's bipartition guess and leaf re-check by its exact prunes,
     # the interval traces by position masks, and min_covers' cross-cover
-    # filter by the lower-cover test
+    # filter by the lower-cover test; Lambda configurations name their
+    # catalog lattice by its _catalog_target tag, and the structural flags
+    # are checks of identities
     assert not [p.name for p in SOURCES if name in p.read_text()]
 
+
+def test_imports_at_module_level_and_acyclic():
+    # no function body imports, so the graph of the package's "from .x
+    # import" lines is the whole import graph, and it has no cycle
+    graph = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for f in ast.walk(tree):
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [n for n in ast.walk(f) if isinstance(n, (ast.Import, ast.ImportFrom))]
+                assert not inner, (path.name, f.name)
+        graph[path.stem] = {n.module for n in tree.body
+                            if isinstance(n, ast.ImportFrom) and n.level == 1}
+    done: set = set()
+    while len(done) < len(graph):
+        ready = {m for m, deps in graph.items() if m not in done and deps <= done}
+        assert ready, {m: deps - done for m, deps in graph.items() if m not in done}
+        done |= ready
 
 def test_oracles_use_no_private_lattice_names():
     # the reference implementations must not run on the code they check

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import naive_check
+from oracles import distributive, naive_check
 
 from colat.lattice import (
     FinLattice,
@@ -24,7 +24,6 @@ from colat.lattice import (
     iter_lattices,
     lattice_from_json,
     lattices_of_size,
-    structural_predicates,
 )
 from colat.poset import Poset
 from colat import star, terms
@@ -694,7 +693,7 @@ def test_encoding_classes():
               for cls, ls in BY_ENCODING.items()}
     assert max(widths["j<=8"]) <= 8 and widths["j9-16"] == [9, 10, 16]
     assert widths["j>16"] == [17]
-    assert all(not structural_predicates(L).distributive for L in BY_ENCODING["j9-16"])
+    assert all(not distributive(L) for L in BY_ENCODING["j9-16"])
 
 
 def sweep_matches_naive(L, ident, cells):
@@ -739,13 +738,6 @@ def test_assignment_guard(monkeypatch):
     monkeypatch.setattr(terms._Demand, "refutes", lambda *args: None)
     with pytest.raises(TermError):
         check(L, wide)
-
-
-def test_d2dual_matches_structural_predicate():
-    corpus = [L for size in range(1, 6) for L in lattices_of_size(size)]
-    for L in corpus:
-        flag = structural_predicates(L).dual_2_distributive
-        assert check(L, builtin("D2DUAL")).holds == flag
 
 
 # -- semantic interpretations ----------------------------------------------------
