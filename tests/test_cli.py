@@ -181,19 +181,16 @@ class TestCheck:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err and "Traceback" not in err
 
-    def test_deeply_nested_identity(self, tmp_path, capsys):
+    def test_deeply_nested_identity(self, co3, tmp_path, capsys):
         # 200 levels on each side exceed the recursion limit of Whitman's
         # algorithm, which is an input error, not a traceback
-        rc, out, _ = run(capsys, "catalog", "co", "1")
-        two = tmp_path / "two.json"
-        two.write_text(out)
         lhs = rhs = "x"
         for _ in range(200):
             lhs, rhs = f"(v {lhs} y)", f"(^ {rhs} y)"
         path = tmp_path / "deep.json"
         path.write_text(json.dumps({"vars": ["x", "y"], "relation": "eq",
                                     "lhs": lhs, "rhs": rhs}))
-        rc, out, err = run(capsys, "check", str(two), "--identity", str(path))
+        rc, out, err = run(capsys, "check", co3, "--identity", str(path))
         assert (rc, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
