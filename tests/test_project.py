@@ -279,3 +279,25 @@ def test_sections_pinned():
     assert len(sections) == 497 + 31
     text = json.dumps(sections, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == SECTIONS
+
+
+# sha256 of the compact JSON list of lambda_holds verdicts, in the loop
+# order of test_lambda_verdicts_pinned: every lattice of size <= 6, every
+# generator tuple of each shape below, and each distinct base of bottom and
+# the meet of the first and last generators
+VERDICTS = "69f7b48922b4247172f2efa62ba05d366427b61d4fcba6686927e0897c67d449"
+
+
+def test_lambda_verdicts_pinned():
+    shapes = [("co_chain", (1,)), ("co_chain", (2,)), ("co_chain", (3,)),
+              ("lmn", (1, 1)), ("lmn", (1, 2)), ("lmn", (2, 1))]
+    verdicts = []
+    for L in iter_lattices(6):
+        for kind, shape in shapes:
+            count = shape[0] if kind == "co_chain" else sum(shape) + 1
+            for gens in iproduct(range(L.n), repeat=count):
+                for base in sorted({L.bottom, L.meet(gens[0], gens[-1])}):
+                    verdicts.append(lambda_holds(L, LambdaConfig(kind, shape, gens, base)))
+    assert (len(verdicts), sum(verdicts)) == (86534, 3982)
+    text = json.dumps(verdicts, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == VERDICTS
