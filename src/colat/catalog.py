@@ -1,5 +1,4 @@
-"""Named lattices Co(n) and L_{m,n}, the maps out of them, SI classification,
-variety position.
+"""Named lattices Co(n) and L_{m,n}, the maps out of them, SI classification.
 
 L_{m,n} is the sublattice of Co(m+n+1) of those convex sets X with
 m in X implying m-1 in X.  Its join-irreducibles are the singletons
@@ -12,7 +11,8 @@ irreducible members of SUB(LO), which is what classify_si leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Optional
 
 from .depend import WeakBiTrack, WeakTrack, is_weak_bitrack
@@ -22,7 +22,6 @@ from .lattice import (
     LatticeMap,
     _ji_extension,
     _restrict,
-    embedding_search,
     find_isomorphism,
     monolith,
 )
@@ -30,16 +29,12 @@ from .membership import decide_sub_lo
 from .poset import Poset, PosetError
 
 
-@lru_cache(maxsize=None)
-def _catalog_target(tag: str, params: tuple[int, ...]) -> tuple[FinLattice, tuple[int, ...]]:
-    """The catalog lattice of an SIClass tag and params, with its generators.
+def _generators(tag: str, params: tuple[int, ...]) -> tuple[int, ...]:
+    """The chain-position mask of each generator of a catalog lattice.
 
-    Every catalog lattice is built here, once per tag and params; callers
-    share the result and never write to it.  The 16-element bound of
-    Poset.convex_sets is checked before the chain is built, which alone
-    takes seconds at a few thousand elements.  The generator at chain
-    position i is the singleton {i}, except that position m of L(m,n)
-    holds c_m = {m-1, m}.
+    Generator i of Co(n) or L(m,n) is the singleton {i}, except that
+    generator m of L(m,n) is c_m = {m-1, m}.  Every relation among the
+    generators, and so every Lambda condition, can be read off these masks.
     """
     if tag == "co_chain":
         (n,) = params
@@ -52,15 +47,31 @@ def _catalog_target(tag: str, params: tuple[int, ...]) -> tuple[FinLattice, tupl
         raise ValueError(f"unknown target kind {tag!r}")
     if n < 1:
         raise ValueError("chain must have at least one element")
-    if n > 16:
-        raise PosetError("convex-set enumeration limited to 16 elements")
-    T, masks = Poset.chain(n).co_lattice()
     gens = [1 << i for i in range(n)]
     if tag == "lmn":
-        keep = [i for i, s in enumerate(masks) if not (s >> m) & 1 or (s >> (m - 1)) & 1]
+        gens[m] |= 1 << (m - 1)
+    return tuple(gens)
+
+
+@lru_cache(maxsize=None)
+def _catalog_target(tag: str, params: tuple[int, ...]) -> tuple[FinLattice, tuple[int, ...]]:
+    """The catalog lattice of an SIClass tag and params, with its generators.
+
+    Every catalog lattice is built here, once per tag and params; callers
+    share the result and never write to it.  Its elements are the convex
+    subsets of the chain that are unions of generator masks.  The
+    16-element bound of Poset.convex_sets is checked before the chain is
+    built, which alone takes seconds at a few thousand elements.
+    """
+    gens = _generators(tag, params)
+    if len(gens) > 16:
+        raise PosetError("convex-set enumeration limited to 16 elements")
+    T, masks = Poset.chain(len(gens)).co_lattice()
+    keep = [e for e, s in enumerate(masks)
+            if s == reduce(or_, (g for g in gens if g & ~s == 0), 0)]
+    if len(keep) < T.n:
         T = FinLattice(_restrict(T.up, keep), tuple(T.label_of(e) for e in keep))
         masks = [masks[e] for e in keep]
-        gens[m] |= 1 << (m - 1)
     at = {s: e for e, s in enumerate(masks)}
     return T, tuple(at[s] for s in gens)
 
@@ -145,38 +156,3 @@ def classify_si(L: FinLattice) -> SIClass:
         if iso is not None:
             return SIClass(tag, params, iso)
     raise LatticeError("subdirectly irreducible member matches no catalog lattice")
-
-
-@dataclass(frozen=True)
-class VarietyPosition:
-    """least_n plus an embedding-level diagnostic, not a variety computation.
-
-    embedded_si lists the catalog lattices below the least_n horizon
-    that embed into L as sublattices: ("co_chain", k) for k < least_n
-    and ("lmn", k, l) for k + l < least_n.
-    """
-
-    least_n: int
-    embedded_si: tuple[tuple, ...]
-
-
-def variety_position(L: FinLattice) -> VarietyPosition:
-    """least_n is 0 for the one-element lattice, else max(2, least n with
-    decide_sub_n(L, n)): SUB(1) = SUB(2), so a distributive lattice reports 2."""
-    result = decide_sub_lo(L)
-    if not result.accepted:
-        raise LatticeError("variety position is defined for accepted lattices only")
-    if L.n == 1:
-        return VarietyPosition(0, ())
-    widest = max(result.certificate.chain_sizes)
-    # SUB(1) = SUB(2), so 2 is the least index ever reported
-    least = max(2, widest)
-    embedded: list[tuple] = []
-    for k in range(1, least):
-        if embedding_search(co_chain(k), L) is not None:
-            embedded.append(("co_chain", k))
-    for total in range(2, least):
-        for k in range(1, total):
-            if embedding_search(l_mn(k, total - k), L) is not None:
-                embedded.append(("lmn", k, total - k))
-    return VarietyPosition(least, tuple(embedded))

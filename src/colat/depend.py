@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 from .lattice import FinLattice
 
@@ -198,57 +198,51 @@ class WeakBiTrack:
         return (self.first.entries, self.second.entries)
 
 
+def _splits(L: FinLattice, p: int, a: int, b: int) -> bool:
+    """p <= a v b, but p is not (p ^ a) v (p ^ b): the first step of a
+    weak track from p with side b, and the joint condition of a weak
+    bi-track with head p and second entries a and b."""
+    jt, mt = L.join_table, L.meet_table
+    return L.leq(p, jt[a][b]) and p != jt[mt[p][a]][mt[p][b]]
+
+
+def _steps(L: FinLattice, before: int, last: int, nxt: int, side: int) -> bool:
+    """Whether nxt may follow a track's entries ..., before, last with the
+    given side: last <= nxt v side, but before is not below
+    (last ^ nxt) v side."""
+    jt = L.join_table
+    return (L.leq(last, jt[nxt][side])
+            and not L.leq(before, jt[L.meet_table[last][nxt]][side]))
+
+
 def is_weak_track(L: FinLattice, t: WeakTrack) -> bool:
     xs, x = t.entries, t.side
-    if len(xs) < 2:
-        return False
-    jt, mt = L.join_table, L.meet_table
-    if xs[0] == jt[mt[xs[0]][xs[1]]][mt[xs[0]][x]]:
-        return False
-    n = len(xs) - 1
-    for k in range(n):
-        if not L.leq(xs[k], jt[xs[k + 1]][x]):
-            return False
-    for k in range(1, n):
-        if L.leq(xs[k - 1], jt[mt[xs[k]][xs[k + 1]]][x]):
-            return False
-    return True
+    return (len(xs) >= 2 and _splits(L, xs[0], xs[1], x)
+            and all(_steps(L, *xs[k - 1:k + 2], x) for k in range(1, len(xs) - 1)))
 
 
 def is_weak_bitrack(L: FinLattice, t: WeakBiTrack) -> bool:
-    if not (is_weak_track(L, t.first) and is_weak_track(L, t.second)):
-        return False
     xs, ys = t.first.entries, t.second.entries
-    if xs[0] != ys[0]:
-        return False
-    jt, mt = L.join_table, L.meet_table
-    if not L.leq(xs[0], jt[xs[1]][ys[1]]):
-        return False
-    return xs[0] != jt[mt[xs[0]][xs[1]]][mt[xs[0]][ys[1]]]
+    return (is_weak_track(L, t.first) and is_weak_track(L, t.second)
+            and xs[0] == ys[0] and _splits(L, xs[0], xs[1], ys[1]))
 
 
 def _extend_track(L: FinLattice, xs: list[int], x: int, upto: int):
     if len(xs) - 1 == upto:
         yield tuple(xs)
         return
-    jt, mt = L.join_table, L.meet_table
-    k = len(xs)
     for nxt in range(L.n):
-        if not L.leq(xs[k - 1], jt[nxt][x]):
-            continue
-        if k >= 2 and L.leq(xs[k - 2], jt[mt[xs[k - 1]][nxt]][x]):
-            continue
-        xs.append(nxt)
-        yield from _extend_track(L, xs, x, upto)
-        xs.pop()
+        if _steps(L, xs[-2], xs[-1], nxt, x):
+            xs.append(nxt)
+            yield from _extend_track(L, xs, x, upto)
+            xs.pop()
 
 
 def _tracks_at(L: FinLattice, x0: int, length: int):
     """Weak tracks of the given length with head x0, by side, then entries."""
-    jt, mt = L.join_table, L.meet_table
     for side in range(L.n):
         for x1 in range(L.n):
-            if x0 != jt[mt[x0][x1]][mt[x0][side]] and L.leq(x0, jt[x1][side]):
+            if _splits(L, x0, x1, side):
                 for entries in _extend_track(L, [x0, x1], side, length):
                     yield WeakTrack(entries, side)
 
@@ -265,18 +259,9 @@ def weak_bitracks(L: FinLattice, m: int, n: int):
     """All weak bi-tracks of index (m, n), deterministic order."""
     if m < 1 or n < 1:
         raise ValueError("bi-track index components must be at least 1")
-    jt, mt = L.join_table, L.meet_table
     for x0 in range(L.n):
         firsts = list(_tracks_at(L, x0, m))
-        if not firsts:
-            continue
-        seconds = list(_tracks_at(L, x0, n))
-        for f in firsts:
-            for s in seconds:
-                xs, ys = f.entries, s.entries
-                if not L.leq(x0, jt[xs[1]][ys[1]]):
-                    continue
-                if x0 == jt[mt[x0][xs[1]]][mt[x0][ys[1]]]:
-                    continue
+        seconds = list(_tracks_at(L, x0, n)) if firsts else []
+        for f, s in product(firsts, seconds):
+            if _splits(L, x0, f.entries[1], s.entries[1]):
                 yield WeakBiTrack(f, s)
-

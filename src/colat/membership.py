@@ -161,18 +161,20 @@ def decide_sub_n(L: FinLattice, n: int, workers: int = 1) -> bool:
     return result.accepted and max(result.certificate.chain_sizes, default=0) <= n
 
 
+def _hull(mask: int) -> int:
+    """The least interval of chain positions holding every position in mask."""
+    return mask and (1 << mask.bit_length()) - (mask & -mask)
+
+
 def _is_convex_hom(L: FinLattice, chain: tuple[int, ...]) -> bool:
     """Every trace on chain, as a position mask, is an interval; the trace
     of each join is the hull of the two traces and of each meet their
     intersection."""
-    def hull(mask: int) -> int:
-        return mask and (1 << mask.bit_length()) - (mask & -mask)
-
     tr = [sum(1 << i for i, b in enumerate(chain) if L.leq(b, x)) for x in range(L.n)]
-    if any(t != hull(t) for t in tr):
+    if any(t != _hull(t) for t in tr):
         return False
     jt, mt = L.join_table, L.meet_table
-    return all(tr[jt[x][y]] == hull(tr[x] | tr[y]) and tr[mt[x][y]] == tr[x] & tr[y]
+    return all(tr[jt[x][y]] == _hull(tr[x] | tr[y]) and tr[mt[x][y]] == tr[x] & tr[y]
                for x in range(L.n) for y in range(x + 1, L.n))
 
 

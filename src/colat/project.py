@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .catalog import _catalog_target
+from .catalog import _catalog_target, _generators
 from .lattice import FinLattice, LatticeError, LatticeMap, _ji_extension
+from .membership import _hull
 
 __all__ = [
     "LambdaConfig",
@@ -54,47 +55,43 @@ def plain_config(L: FinLattice, generators, base: Optional[int] = None) -> Lambd
 
 
 def split_config(L: FinLattice, m: int, n: int, generators) -> LambdaConfig:
-    if m < 1 or n < 1:
-        raise ValueError("both side lengths must be positive")
     gens = tuple(generators)
-    if len(gens) != m + n + 1:
-        raise ValueError(f"expected {m + n + 1} generators, got {len(gens)}")
+    count = len(_generators("lmn", (m, n)))
+    if len(gens) != count:
+        raise ValueError(f"expected {count} generators, got {len(gens)}")
     return LambdaConfig("lmn", (m, n), gens, L.meet(gens[0], gens[2]))
 
 
-def _meet_pairs(kind: str, shape: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
-    """The generator count and the index pairs whose meets are the base:
-    every pair for Co(n), every pair but {m-1, m} for L(m,n)."""
-    if kind == "co_chain":
-        (count,) = shape
-        skip = None
-    elif kind == "lmn":
-        m, n = shape
-        count, skip = m + n + 1, (m - 1, m)
-    else:
-        raise ValueError(f"unknown config kind {kind!r}")
-    return count, [ij for ij in combinations(range(count), 2) if ij != skip]
+def _relations(gens: tuple[int, ...]):
+    """The Lambda conditions read off the generator masks of a catalog
+    lattice: the pairs with disjoint masks, whose meets are the base; the
+    pairs (i, j) with g_i <= g_j, the side inclusion of L(m,n); and the
+    triples (k, i, j) with g_k in the convex hull of g_i and g_j but not in
+    their union, the joint cover condition g_k <= g_i v g_j."""
+    def within(k: int, mask: int) -> bool:
+        return not gens[k] & ~mask
+
+    count = range(len(gens))
+    pairs = list(combinations(count, 2))
+    disjoint = [(i, j) for i, j in pairs if not gens[i] & gens[j]]
+    below = [(i, j) for i in count for j in count if i != j and within(i, gens[j])]
+    covers = [(k, i, j) for i, j in pairs for k in count
+              if within(k, _hull(gens[i] | gens[j])) and not within(k, gens[i] | gens[j])]
+    return disjoint, below, covers
 
 
 def lambda_holds(L: FinLattice, config: LambdaConfig) -> bool:
-    """Check the joint cover and constant meet conditions for config."""
+    """Check the joint cover and constant meet conditions for config;
+    ValueError if its kind and shape name no catalog lattice."""
     gens, base = config.generators, config.base
-    count, pairs = _meet_pairs(config.kind, config.shape)
-    if len(gens) != count or count < 1:
+    masks = _generators(config.kind, config.shape)
+    if len(gens) != len(masks):
         raise ValueError("generator count does not match the declared shape")
-    if config.kind == "lmn" and not L.leq(gens[config.shape[0] - 1], gens[config.shape[0]]):
-        return False
+    disjoint, below, covers = _relations(masks)
     return (L.leq(base, gens[0])
-            and all(L.meet(gens[i], gens[j]) == base for i, j in pairs)
-            and _covered(L, gens))
-
-
-def _covered(L: FinLattice, gens) -> bool:
-    """Each generator lies below the join of any earlier and any later one."""
-    count = len(gens)
-    return all(L.leq(gens[k], L.join(gens[i], gens[j]))
-               for i in range(count) for k in range(i + 1, count)
-               for j in range(k + 1, count))
+            and all(L.meet(gens[i], gens[j]) == base for i, j in disjoint)
+            and all(L.leq(gens[i], gens[j]) for i, j in below)
+            and all(L.leq(gens[k], L.join(gens[i], gens[j])) for k, i, j in covers))
 
 
 def hom_from_lambda(L: FinLattice, config: LambdaConfig) -> LatticeMap:
@@ -146,13 +143,13 @@ def retract_section(Lp: FinLattice, pi: LatticeMap, target) -> LatticeMap:
     for t, members in enumerate(classes):
         beta[t] = Lp.meet_of(members)
 
-    _, pairs = _meet_pairs(tag, shape)
+    pairs, below, covers = _relations(_generators(tag, shape))
     a = [beta[g] for g in gen_elems]
     rounds = 0
     while True:
-        if not _covered(Lp, a):
+        if not all(Lp.leq(a[k], Lp.join(a[i], a[j])) for k, i, j in covers):
             raise LatticeError(f"cover inequality broke in round {rounds}: {a}")
-        if tag == "lmn" and not Lp.leq(a[shape[0] - 1], a[shape[0]]):
+        if not all(Lp.leq(a[i], a[j]) for i, j in below):
             raise LatticeError(f"side inclusion broke in round {rounds}: {a}")
         b = Lp.join_of(Lp.meet(a[i], a[j]) for i, j in pairs)
         updated = [Lp.join(ai, b) for ai in a]

@@ -690,21 +690,34 @@ def _prefixes(n: int, c: int, start: tuple = ()):
 def _free_leq(nodes, s: int, t: int, memo: dict) -> bool:
     """Whitman's algorithm: whether s <= t holds in every lattice.
 
-    Freese, Jezek and Nation, Free Lattices (AMS 1995), ch. 1.
+    Freese, Jezek and Nation, Free Lattices (AMS 1995), ch. 1.  Open pairs
+    are frames on an explicit stack, so deep terms need no recursion: a
+    frame's verdict is its stop value once one of its pending pairs gives
+    that value, and the other value once none is left.
     """
-    key = (s, t)
-    if key not in memo:
-        (ks, cs, *_), (kt, ct, *_) = nodes[s], nodes[t]
-        if ks == "join":
-            got = all(_free_leq(nodes, c, t, memo) for c in cs)
-        elif kt == "meet":
-            got = all(_free_leq(nodes, s, c, memo) for c in ct)
+    frames, pair = [], (s, t)
+    while True:
+        got = memo.get(pair)
+        if got is None:
+            a, b = pair
+            (ka, ca, *_), (kb, cb, *_) = nodes[a], nodes[b]
+            if ka == "join":
+                frames.append((pair, False, iter([(c, b) for c in ca])))
+            elif kb == "meet":
+                frames.append((pair, False, iter([(a, c) for c in cb])))
+            elif a == b:
+                # a variable has no children: two variables compare by identity
+                got = memo[pair] = True
+            else:
+                frames.append((pair, True, iter([(c, b) for c in ca] + [(a, c) for c in cb])))
+        while frames:
+            top, stop, pending = frames[-1]
+            if got is not stop and (pair := next(pending, None)) is not None:
+                break
+            frames.pop()
+            got = memo[top] = stop if got is stop else not stop
         else:
-            # a variable has no children: two variables compare by identity
-            got = (s == t or any(_free_leq(nodes, c, t, memo) for c in cs)
-                   or any(_free_leq(nodes, s, c, memo) for c in ct))
-        memo[key] = got
-    return memo[key]
+            return got
 
 
 class _Demand:

@@ -4,23 +4,19 @@ import pytest
 
 from colat.catalog import (
     SIClass,
-    VarietyPosition,
     _catalog_target,
     canonical_bitrack,
     classify_si,
     co_chain,
     l_mn,
     track_embedding,
-    variety_position,
 )
 from colat.depend import dependency_closure, is_weak_bitrack, weak_bitracks
 from colat.lattice import (
-    LatticeError,
     LatticeMap,
     direct_product,
     embedding_search,
     find_isomorphism,
-    iter_lattices,
     lattice_from_json,
     monolith,
     principal_congruence,
@@ -244,47 +240,36 @@ def test_catalog_si_have_full_anchor():
         assert any(len(set(m)) == L.n for m in full)
 
 
-# -- variety position -------------------------------------------------------
+# -- levels and embedded catalog lattices ----------------------------------
+
+
+def least_level(L):
+    return next(n for n in itertools.count() if decide_sub_n(L, n))
 
 
 def test_position_lmn_12():
-    assert variety_position(l_mn(1, 2)).least_n == 4
+    assert least_level(l_mn(1, 2)) == 4
 
 
 def test_position_co4_includes_co3():
-    pos = variety_position(co_chain(4))
-    assert pos.least_n == 4
-    assert ("co_chain", 3) in pos.embedded_si
-    assert ("lmn", 1, 2) in pos.embedded_si
+    assert least_level(co_chain(4)) == 4
+    assert embedding_search(co_chain(3), co_chain(4)) is not None
+    assert embedding_search(l_mn(1, 2), co_chain(4)) is not None
 
 
 def test_position_distributive_is_two():
     square = direct_product(co_chain(1), co_chain(1))
-    assert variety_position(square).least_n == 2
-    assert variety_position(co_chain(1)).least_n == 2
+    assert least_level(square) <= 2
+    assert least_level(co_chain(1)) <= 2
 
 
 def test_position_trivial_lattice():
     one = lattice_from_json({"size": 1, "leq_pairs": []})
-    assert variety_position(one) == VarietyPosition(0, ())
-
-
-def test_position_rejects_non_member(diamond):
-    with pytest.raises(LatticeError):
-        variety_position(diamond)
-
-
-def test_position_least_n_follows_decide_sub_n():
-    # 0 for the one-element lattice, else max(2, least n with decide_sub_n)
-    members = [L for L in iter_lattices(8) if decide_sub_lo(L).accepted]
-    assert len(members) == 104
-    for L in members:
-        least = next(n for n in itertools.count() if decide_sub_n(L, n))
-        assert variety_position(L).least_n == (0 if L.n == 1 else max(2, least)), L.up
+    assert least_level(one) == 0
 
 
 def test_position_anchor_width_matches_chain_bound():
     for m, n in sums_upto(4):
         L = l_mn(m, n)
         widest = max(len(dependency_closure(L, a)) for a in L.join_irreducibles)
-        assert variety_position(L).least_n == max(2, widest) == m + n + 1
+        assert least_level(L) == widest == m + n + 1

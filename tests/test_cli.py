@@ -23,6 +23,14 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def nested_identity(levels):
+    """x v y v ... v y = x ^ y ^ ... ^ y, with the given number of joins and meets."""
+    lhs = rhs = "x"
+    for _ in range(levels):
+        lhs, rhs = f"(v {lhs} y)", f"(^ {rhs} y)"
+    return {"vars": ["x", "y"], "relation": "eq", "lhs": lhs, "rhs": rhs}
+
+
 @pytest.fixture
 def pent(tmp_path, capsys):
     rc, out, _ = run(capsys, "catalog", "lmn", "1", "1")
@@ -182,17 +190,22 @@ class TestCheck:
         assert message in err and "Traceback" not in err
 
     def test_deeply_nested_identity(self, co3, tmp_path, capsys):
-        # 200 levels on each side exceed the recursion limit of Whitman's
-        # algorithm, which is an input error, not a traceback
-        lhs = rhs = "x"
-        for _ in range(200):
-            lhs, rhs = f"(v {lhs} y)", f"(^ {rhs} y)"
+        # 2,000 levels on each side exceed the recursion limit of the term
+        # parser, which is an input error, not a traceback
         path = tmp_path / "deep.json"
-        path.write_text(json.dumps({"vars": ["x", "y"], "relation": "eq",
-                                    "lhs": lhs, "rhs": rhs}))
+        path.write_text(json.dumps(nested_identity(2000)))
         rc, out, err = run(capsys, "check", co3, "--identity", str(path))
         assert (rc, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nested_identity_fails_with_witness(self, co3, tmp_path, capsys):
+        # Whitman's algorithm walks an explicit stack, so 200 levels are
+        # checked; x v y = x ^ y fails at x = {}, y = {0}
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(nested_identity(200)))
+        rc, out, err = run(capsys, "check", co3, "--identity", str(path))
+        assert (rc, err) == (1, "")
+        assert out.count("\n") == 1 and "fails at" in out
 
     def test_guard_refuses_large_sweep(self, tmp_path, capsys, monkeypatch):
         # the guard applies once the demand search gives up, made to here

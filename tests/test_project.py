@@ -6,7 +6,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from colat.catalog import co_chain, l_mn
+from colat.catalog import _catalog_target, co_chain, l_mn
 from colat.lattice import (
     FinLattice,
     LatticeError,
@@ -92,6 +92,24 @@ class TestLambdaHolds:
         L = co_chain(2)
         with pytest.raises(ValueError):
             lambda_holds(L, LambdaConfig("spiral", (2,), (0, 1), 0))
+
+    @pytest.mark.parametrize("kind,shape", [("lmn", (0, 1)), ("lmn", (1, 0)), ("lmn", (0, 0)),
+                                            ("co_chain", (0,)), ("spiral", (2,))])
+    def test_shapes_naming_no_catalog_lattice_raise(self, kind, shape):
+        # lambda_holds refuses what _catalog_target refuses, with its
+        # message; L(0, 1) once returned False, reading a missing inclusion
+        with pytest.raises(ValueError) as expected:
+            _catalog_target(kind, shape)
+        with pytest.raises(ValueError) as got:
+            lambda_holds(co_chain(2), LambdaConfig(kind, shape, (1, 2), 0))
+        assert str(got.value) == str(expected.value)
+
+    def test_no_catalog_lattice_is_built(self):
+        # Co(17) is past the 16-element bound of the catalog, but the
+        # conditions are read off generator masks alone
+        L = co_chain(2)
+        g = by_label(L, "{0}")
+        assert lambda_holds(L, plain_config(L, [g] * 17))
 
     def test_single_generator_needs_base(self):
         L = co_chain(2)

@@ -36,15 +36,26 @@ def test_one_backtracker_in_lattice():
                                   "_bipartition_chain", "_block_sort", "_intervals_of",
                                   "_intervals_are_hom", "_chain_is_valid", "by_least",
                                   "_split_pairs", '"plain"', '"split"',
-                                  "structural_predicates", "StructuralFlags"])
+                                  "structural_predicates", "StructuralFlags",
+                                  "_meet_pairs", "_covered", "variety_position",
+                                  "VarietyPosition"])
 def test_merged_map_builders_gone(name):
     # replaced by _ji_extension and catalog._catalog_target; the chain
     # search's bipartition guess and leaf re-check by its exact prunes,
     # the interval traces by position masks, and min_covers' cross-cover
     # filter by the lower-cover test; Lambda configurations name their
     # catalog lattice by its _catalog_target tag, and the structural flags
-    # are checks of identities
+    # are checks of identities; the Lambda relations are read off the
+    # generator masks, and the variety position was a wrapper of
+    # decide_sub_n and embedding_search
     assert not [p.name for p in SOURCES if name in p.read_text()]
+
+
+def test_lambda_conditions_name_no_family():
+    # every Lambda relation comes from catalog._generators, so project.py
+    # never branches on a catalog tag
+    text = (SOURCES[0].parent / "project.py").read_text()
+    assert not re.search(r'== "(lmn|co_chain)"', text)
 
 
 def test_imports_at_module_level_and_acyclic():

@@ -613,6 +613,23 @@ def test_decide_identity_matches_sweep_on_products(monkeypatch):
     assert verdicts == [check(L, ident).holds for L in products]
 
 
+def test_deeply_nested_identity_is_checked():
+    # Whitman's algorithm walks an explicit stack, so 400 levels of joins
+    # against 400 of meets need no recursion.  It proves the meets below
+    # the joins, and lhs <= rhs fails at x = {}, y = {0}, the least
+    # assignment where x and y differ
+    lhs = rhs = "x"
+    for _ in range(400):
+        lhs, rhs = f"(v {lhs} y)", f"(^ {rhs} y)"
+    ident = identity_from_json({"vars": ["x", "y"], "relation": "eq", "lhs": lhs, "rhs": rhs})
+    nodes, pairs = ident._sides
+    assert len(pairs) == 1
+    L = co_chain(3)
+    result = check(L, ident)
+    assert not result.holds
+    assert {v: L.label_of(e) for v, e in result.witness.items()} == {"x": "{}", "y": "{0}"}
+
+
 def test_free_lattice_side_is_skipped():
     # rhs <= lhs holds in every lattice for the four equalities, so only
     # lhs <= rhs is searched; (*) is searched as given
