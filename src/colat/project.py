@@ -32,8 +32,8 @@ class LambdaConfig:
 
     kind and shape name the catalog lattice as _catalog_target does:
     "co_chain" with (n,) for Co(n), "lmn" with (m, n) for L(m,n).
-    generators lists elements of the ambient lattice, one per chain
-    position; for L(m,n) position m stands for the doubleton {m-1, m}.
+    generators lists elements of the ambient lattice, one per generator
+    of that catalog lattice (catalog._generators gives their masks).
     base is the intended image of the empty set.
     """
 
