@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -117,6 +118,24 @@ def test_roundtrip_builtins():
         assert parse_term(term_to_sexpr(ident.lhs)) == ident.lhs
         assert parse_term(term_to_sexpr(ident.rhs)) == ident.rhs
         assert identity_from_json(identity_to_json(ident)) == ident
+
+
+# sha256 of one line per token string of up to 6 tokens over "(", ")", "v",
+# "^", "a" and "b", joined by spaces: the sexpr of the parsed term, or the
+# ParseError's message and position; 55,987 strings
+PINNED_PARSES = "9575348f8da8724494bbe0a0287f7a91ceff4843c2b57e557af6f47dd21e8a50"
+
+
+def test_parse_pinned_up_to_six_tokens():
+    lines = []
+    for n in range(7):
+        for toks in itertools.product(("(", ")", "v", "^", "a", "b"), repeat=n):
+            try:
+                lines.append(term_to_sexpr(parse_term(" ".join(toks))))
+            except ParseError as err:
+                lines.append(f"{err} {err.pos}")
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PARSES
 
 
 # -- identity construction ----------------------------------------------------------
@@ -611,6 +630,39 @@ def test_decide_identity_matches_sweep_on_products(monkeypatch):
     # search first; made to give up, check sweeps every assignment
     monkeypatch.setattr(terms._Demand, "refutes", lambda *args: None)
     assert verdicts == [check(L, ident).holds for L in products]
+
+
+def random_identity(rng):
+    """A random identity over one to five variables, some declared but
+    unused; half of them made symmetric in two adjacent variables."""
+    names = tuple(f"x{i}" for i in range(rng.randint(1, 5)))
+
+    def term(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return var(rng.choice(names))
+        return rng.choice((join, meet))(*(term(depth - 1) for _ in range(rng.randint(2, 3))))
+
+    sides = [term(4), term(4)]
+    if len(names) > 1 and rng.random() < 0.5:
+        i = rng.randrange(len(names) - 1)
+        swap = {names[i]: names[i + 1], names[i + 1]: names[i]}
+        op = rng.choice((join, meet))
+        sides = [op(t, rename(t, swap)) for t in sides]
+    return Identity("random", names, rng.choice(("eq", "leq")), *sides)
+
+
+# sha256 of the repr of (_run_ends, _term_nodes) for the five builtins and
+# 500 random identities drawn with seed 22
+PINNED_NODES = "8bccd72578baa821d8166565490051394deb07a037a726fd105882549318e633"
+
+
+def test_term_nodes_and_runs_pinned():
+    rng = random.Random(22)
+    idents = [builtin(name) for name in builtin_names()]
+    idents += [random_identity(rng) for _ in range(500)]
+    text = repr([(ident._run_ends, terms._term_nodes(ident.variables, ident.lhs, ident.rhs))
+                 for ident in idents])
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_NODES
 
 
 def test_deeply_nested_identity_is_checked():
