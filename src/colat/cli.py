@@ -443,8 +443,8 @@ def main(argv=None) -> int:
     try:
         code, payload, lines = ns.func(ns, inputs)
     except (OSError, ValueError, RecursionError) as exc:
-        # a RecursionError comes from input nested too deeply for the
-        # recursive readers and term walks, so it is an input error too
+        # a RecursionError comes from JSON nested too deeply for its
+        # decoder, so it is an input error too
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, LatticeError) else 2
     if "json" in ns:  # a report; co, catalog and dot print their artifact as is

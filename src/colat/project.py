@@ -9,6 +9,7 @@ the tuple satisfies the joint cover condition Lambda.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -62,6 +63,7 @@ def split_config(L: FinLattice, m: int, n: int, generators) -> LambdaConfig:
     return LambdaConfig("lmn", (m, n), gens, L.meet(gens[0], gens[2]))
 
 
+@lru_cache(maxsize=None)
 def _relations(gens: tuple[int, ...]):
     """The Lambda conditions read off the generator masks of a catalog
     lattice: the pairs with disjoint masks, whose meets are the base; the
@@ -77,7 +79,7 @@ def _relations(gens: tuple[int, ...]):
     below = [(i, j) for i in count for j in count if i != j and within(i, gens[j])]
     covers = [(k, i, j) for i, j in pairs for k in count
               if within(k, _hull(gens[i] | gens[j])) and not within(k, gens[i] | gens[j])]
-    return disjoint, below, covers
+    return tuple(disjoint), tuple(below), tuple(covers)
 
 
 def lambda_holds(L: FinLattice, config: LambdaConfig) -> bool:
@@ -143,14 +145,12 @@ def retract_section(Lp: FinLattice, pi: LatticeMap, target) -> LatticeMap:
     for t, members in enumerate(classes):
         beta[t] = Lp.meet_of(members)
 
-    pairs, below, covers = _relations(_generators(tag, shape))
+    # pi(z) >= t implies z >= beta(t), so the least preimages satisfy each
+    # joint cover and side inclusion, and joining b to every entry keeps them
+    pairs = _relations(_generators(tag, shape))[0]
     a = [beta[g] for g in gen_elems]
     rounds = 0
     while True:
-        if not all(Lp.leq(a[k], Lp.join(a[i], a[j])) for k, i, j in covers):
-            raise LatticeError(f"cover inequality broke in round {rounds}: {a}")
-        if not all(Lp.leq(a[i], a[j]) for i, j in below):
-            raise LatticeError(f"side inclusion broke in round {rounds}: {a}")
         b = Lp.join_of(Lp.meet(a[i], a[j]) for i, j in pairs)
         updated = [Lp.join(ai, b) for ai in a]
         if updated == a:

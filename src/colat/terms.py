@@ -50,9 +50,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from contextlib import closing
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -71,7 +72,7 @@ class ParseError(TermError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Term:
     kind: str                             # "var", "join", "meet"
     children: tuple["Term", ...] = ()
@@ -87,6 +88,15 @@ class Term:
         else:
             raise TermError(f"unknown node kind {self.kind!r}")
 
+    def __eq__(self, other):
+        return isinstance(other, Term) and _flatten(self) == _flatten(other)
+
+    def __hash__(self):
+        return hash(tuple(_flatten(self)[0]))
+
+    def __repr__(self):
+        return f"parse_term({term_to_sexpr(self)!r})"
+
 
 def var(name: str) -> Term:
     return Term("var", name=name)
@@ -100,76 +110,78 @@ def meet(*terms: Term) -> Term:
     return Term("meet", tuple(terms))
 
 
+def _flatten(*roots: Term) -> tuple[list, list]:
+    """Each distinct subterm of roots once, children first, as (kind, name,
+    kids) with kids its children's indices, and the index of each root.
+    Every term walk folds this list, built on an explicit stack, not by recursion."""
+    index: dict[tuple, int] = {}          # each node, in order of its index
+    placed: dict[int, int] = {}           # the index of each Term object seen
+    stack = [(t, False) for t in reversed(roots)]
+    while stack:
+        t, ready = stack.pop()
+        if id(t) in placed:
+            continue
+        if ready or not t.children:
+            node = (t.kind, t.name, tuple([placed[id(c)] for c in t.children]))
+            placed[id(t)] = index.setdefault(node, len(index))
+        else:
+            stack.append((t, True))
+            stack.extend([(c, False) for c in reversed(t.children)])
+    return list(index), [placed[id(t)] for t in roots]
+
+
 def term_variables(t: Term) -> frozenset[str]:
-    if t.kind == "var":
-        return frozenset((t.name,))
-    return frozenset().union(*(term_variables(c) for c in t.children))
+    return frozenset(name for kind, name, _ in _flatten(t)[0] if kind == "var")
 
 
 def term_to_sexpr(t: Term) -> str:
-    if t.kind == "var":
-        return t.name
-    head = "v" if t.kind == "join" else "^"
-    return "(" + " ".join([head] + [term_to_sexpr(c) for c in t.children]) + ")"
-
-
-def _tokenize(text: str):
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif ch in "()":
-            toks.append((ch, i))
-            i += 1
-        else:
-            j = i
-            while j < len(text) and text[j] not in " \t\r\n()":
-                j += 1
-            toks.append((text[i:j], i))
-            i = j
-    return toks
+    nodes, stack = _flatten(t)             # the stack starts at the root
+    out = []
+    while stack:
+        k = stack.pop()
+        if isinstance(k, str):                # a ")" or the space before a child
+            out.append(k)
+            continue
+        kind, name, kids = nodes[k]
+        out.append(name or ("(v" if kind == "join" else "(^"))
+        stack.append(")" if kids else "")
+        for c in reversed(kids):
+            stack += (c, " ")
+    return "".join(out)
 
 
 def parse_term(text: str) -> Term:
-    toks = _tokenize(text)
+    toks = [(m[0], m.start()) for m in re.finditer(r"[()]|[^ \t\r\n()]+", text)]
     if not toks:
         raise ParseError("empty input", 0)
-    term, k = _parse_at(toks, 0, len(text))
-    if k != len(toks):
-        raise ParseError("trailing input", toks[k][1])
-    return term
-
-
-def _parse_at(toks, k: int, end: int):
-    if k >= len(toks):
-        raise ParseError("unexpected end of input", end)
-    tok, pos = toks[k]
-    if tok == ")":
-        raise ParseError("unexpected ')'", pos)
-    if tok != "(":
-        if tok in ("v", "^"):
-            raise ParseError("operator used as a variable", pos)
-        return Term("var", name=tok), k + 1
-    if k + 1 >= len(toks):
-        raise ParseError("unexpected end of input", end)
-    head, head_pos = toks[k + 1]
-    if head not in ("v", "^"):
-        raise ParseError("expected operator 'v' or '^'", head_pos)
-    k += 2
-    children = []
-    while True:
-        if k >= len(toks):
-            raise ParseError("missing ')'", end)
-        if toks[k][0] == ")":
+    toks = iter(toks + [("", len(text))])  # the end, which no real token is
+    stack: list[tuple[str, int, list]] = []  # open operators: kind, head position, children
+    for tok, pos in toks:
+        if stack and tok in (")", ""):
+            if not tok:
+                raise ParseError("missing ')'", pos)
+            kind, pos, children = stack.pop()
+            if len(children) < 2:
+                raise ParseError("operator needs at least two arguments", pos)
+            term = Term(kind, tuple(children))
+        elif tok == "(":
+            head, pos = next(toks)
+            if head not in ("v", "^"):
+                raise ParseError("expected operator 'v' or '^'" if head
+                                 else "unexpected end of input", pos)
+            stack.append(("join" if head == "v" else "meet", pos, []))
+            continue
+        elif tok in (")", "v", "^"):
+            raise ParseError("unexpected ')'" if tok == ")" else "operator used as a variable", pos)
+        else:
+            term = Term("var", name=tok)
+        if not stack:
             break
-        child, k = _parse_at(toks, k, end)
-        children.append(child)
-    if len(children) < 2:
-        raise ParseError("operator needs at least two arguments", head_pos)
-    kind = "join" if head == "v" else "meet"
-    return Term(kind, tuple(children)), k + 1
+        stack[-1][2].append(term)
+    tok, pos = next(toks)
+    if tok:
+        raise ParseError("trailing input", pos)
+    return term
 
 
 # -- identities ------------------------------------------------------------------
@@ -391,50 +403,32 @@ ASSIGNMENT_GUARD = 10 ** 9
 
 
 def eval_term(L: FinLattice, t: Term, env: dict[str, int]) -> int:
-    if t.kind == "var":
-        return env[t.name]
-    table = L.join_table if t.kind == "join" else L.meet_table
-    acc = eval_term(L, t.children[0], env)
-    for c in t.children[1:]:
-        acc = table[acc][eval_term(L, c, env)]
-    return acc
+    nodes, (root,) = _flatten(t)
+    values: list[int] = []
+    for kind, name, kids in nodes:
+        table = L.join_table if kind == "join" else L.meet_table
+        values.append(env[name] if kind == "var" else
+                      reduce(lambda acc, c: table[acc][values[c]], kids[1:], values[kids[0]]))
+    return values[root]
 
 
 def _term_nodes(variables, lhs: Term, rhs: Term):
-    """CSE two terms into one node list, children first.
+    """The _flatten list of two terms, with variables as indices.
 
     A node is (kind, children, vi, support): vi is the index of a
     variable node's variable and -1 for an operation, and support is the
     bitmask of the variables a node reads.  Returns the list and the
     indices of lhs and rhs.
     """
-    order = {name: i for i, name in enumerate(variables)}
-    # keyed by child indices, not by Term: a Term's hash walks its subtree
-    index: dict[tuple, int] = {}
+    flat, (left, right) = _flatten(lhs, rhs)
     nodes: list[tuple] = []
-
-    def visit(t: Term) -> int:
-        kids = tuple(visit(c) for c in t.children)
-        got = index.get((t.kind, t.name, kids))
-        if got is None:
-            vi = order[t.name] if t.kind == "var" else -1
-            support = 1 << vi if vi >= 0 else 0
-            for c in kids:
-                support |= nodes[c][3]
-            got = index[t.kind, t.name, kids] = len(nodes)
-            nodes.append((t.kind, kids, vi, support))
-        return got
-
-    return nodes, visit(lhs), visit(rhs)
-
-
-def _canonical(t: Term, place: dict) -> tuple:
-    """t up to the order of the children of each join and meet, with each
-    variable read as its place."""
-    if t.kind == "var":
-        return (0, place[t.name])
-    return (1 if t.kind == "join" else 2,
-            tuple(sorted(_canonical(c, place) for c in t.children)))
+    for kind, name, kids in flat:
+        vi = variables.index(name) if kind == "var" else -1
+        support = 1 << vi if vi >= 0 else 0
+        for c in kids:
+            support |= nodes[c][3]
+        nodes.append((kind, kids, vi, support))
+    return nodes, left, right
 
 
 def _symmetric_runs(ident: Identity) -> tuple[int, ...]:
@@ -447,14 +441,21 @@ def _symmetric_runs(ident: Identity) -> tuple[int, ...]:
     of a run leaves every permutation of its rest.  A symmetry missed
     here costs the sweep speed, never a verdict.
     """
-    names = ident.variables
-    place = {name: i for i, name in enumerate(names)}
-    sides = (ident.lhs, ident.rhs)
-    base = [_canonical(t, place) for t in sides]
-    ends = list(range(1, len(names) + 1))
-    for i in reversed(range(len(names) - 1)):
-        swapped = dict(place, **{names[i]: i + 1, names[i + 1]: i})
-        if [_canonical(t, swapped) for t in sides] == base:
+    nodes, lhs, rhs = _term_nodes(ident.variables, ident.lhs, ident.rhs)
+    v = len(ident.variables)
+    # lhs and rhs as interned ids, equal for nodes equal up to that order, with
+    # variable i read as place[i]: as declared, then with each adjacent pair swapped
+    interned: dict[tuple, int] = {}
+    sides = []
+    for place in [range(v)] + [[*range(i), i + 1, i, *range(i + 2, v)] for i in range(v - 1)]:
+        ids: list[int] = []
+        for kind, kids, vi, _ in nodes:
+            key = place[vi] if kind == "var" else tuple(sorted(ids[c] for c in kids))
+            ids.append(interned.setdefault((kind, key), len(interned)))
+        sides.append((ids[lhs], ids[rhs]))
+    ends = list(range(1, v + 1))
+    for i in reversed(range(v - 1)):
+        if sides[i + 1] == sides[0]:
             ends[i] = ends[i + 1]
     return tuple(ends)
 
@@ -479,12 +480,11 @@ def _compile(ident: Identity, n_prefix: int):
     got = ident._compiled.get(n_prefix)
     if got is None:
         terms, sides = ident._sides
-        left, stack = set(), [p for p, _ in sides]
-        while stack:
-            k = stack.pop()
-            if k not in left:
-                left.add(k)
-                stack.extend(terms[k][1])
+        # children come first, so one reverse pass reaches all the left sides read
+        left = {p for p, _ in sides}
+        for k in reversed(range(len(terms))):
+            if k in left:
+                left.update(terms[k][1])
         # how many inner variables each node reads
         ranks = [(support >> n_prefix).bit_count() for *_, support in terms]
         nodes = [

@@ -190,13 +190,23 @@ class TestCheck:
         assert message in err and "Traceback" not in err
 
     def test_deeply_nested_identity(self, co3, tmp_path, capsys):
-        # 2,000 levels on each side exceed the recursion limit of the term
-        # parser, which is an input error, not a traceback
+        # no term walk recurses, so 2,000 levels on each side, past the
+        # recursion limit, are parsed and checked: x v y = x ^ y fails at
+        # x = {}, y = {0}
         path = tmp_path / "deep.json"
         path.write_text(json.dumps(nested_identity(2000)))
         rc, out, err = run(capsys, "check", co3, "--identity", str(path))
+        assert (rc, out, err) == (1, ": fails at x={} y={0}\n", "")
+
+    def test_deeply_nested_json(self, co3, tmp_path, capsys):
+        # JSON nested past the recursion limit of its decoder is an input
+        # error, not a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        rc, out, err = run(capsys, "check", co3, "--identity", str(path))
         assert (rc, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "recursion" in err and "Traceback" not in err
 
     def test_nested_identity_fails_with_witness(self, co3, tmp_path, capsys):
         # Whitman's algorithm walks an explicit stack, so 200 levels are

@@ -51,6 +51,22 @@ def test_merged_map_builders_gone(name):
     assert not [p.name for p in SOURCES if name in p.read_text()]
 
 
+def test_no_term_walk_recurses():
+    # every walk over a term loops over _flatten's list or an explicit stack,
+    # so depth costs no recursion; _prefixes recurses once per prefix variable
+    tree = ast.parse((SOURCES[0].parent / "terms.py").read_text())
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    recursive = set()
+    for f in ast.walk(tree):
+        if isinstance(f, ast.FunctionDef):
+            # a method calls itself as self.name, a function by its bare name
+            own = "self." + f.name if id(f) in methods else f.name
+            if any(isinstance(call, ast.Call) and ast.unparse(call.func) == own
+                   for call in ast.walk(f)):
+                recursive.add(f.name)
+    assert recursive == {"_prefixes"}
+
+
 def test_lambda_conditions_name_no_family():
     # every Lambda relation comes from catalog._generators, so project.py
     # never branches on a catalog tag

@@ -682,6 +682,25 @@ def test_deeply_nested_identity_is_checked():
     assert {v: L.label_of(e) for v, e in result.witness.items()} == {"x": "{}", "y": "{0}"}
 
 
+def test_identity_of_5000_levels():
+    # no walk over a term recurses: 5,000 levels, five times the default
+    # recursion limit, go through the parser, the check, the sexpr printer,
+    # == and hash
+    lhs = rhs = "x"
+    for _ in range(5000):
+        lhs, rhs = f"(v {lhs} y)", f"(^ {rhs} y)"
+    obj = {"name": "", "vars": ["x", "y"], "relation": "eq", "lhs": lhs, "rhs": rhs}
+    ident = identity_from_json(obj)
+    L = co_chain(3)
+    result = check(L, ident)
+    assert {v: L.label_of(e) for v, e in result.witness.items()} == {"x": "{}", "y": "{0}"}
+    assert identity_to_json(ident) == obj
+    again = identity_from_json(identity_to_json(ident))
+    assert again == ident and hash(again) == hash(ident)
+    assert again.lhs != again.rhs and again.lhs != ident.lhs.children[0]
+    assert repr(again.rhs) == f"parse_term({rhs!r})"
+
+
 def test_free_lattice_side_is_skipped():
     # rhs <= lhs holds in every lattice for the four equalities, so only
     # lhs <= rhs is searched; (*) is searched as given
