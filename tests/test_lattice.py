@@ -13,7 +13,9 @@ from colat.lattice import (
     FinLattice,
     LatticeError,
     LatticeMap,
+    _order_embeddings,
     _principal_congruences,
+    bits,
     congruence_lattice,
     direct_product,
     embedding_search,
@@ -292,6 +294,43 @@ def test_surjection_search_matches_oracle_on_census_sources():
     for K in sources:
         for T in (co_chain(3), l_mn(1, 1), l_mn(1, 2)):
             _same_surjections_as_oracle(K, T)
+
+
+# sha256 of compact JSON over the census sources (Co(2) to Co(5), L(1,1),
+# L(1,2) and their products of at most 28 elements) and the targets Co(3),
+# L(1,1) and L(1,2): for each pair, the isomorphisms values from K/theta onto
+# the target for every congruence theta of K with as many blocks as the
+# target has elements, every image tuple _order_embeddings yields for
+# embedding_search's candidates from the target into K, and the
+# embedding_search values (11 isomorphisms and 27,578 image tuples)
+CENSUS_ORDER_EMBEDDINGS = "4c35a0cd31fe8913249b9a14b46fa833ea6f392b193ebeba2ce4455fdabde235"
+
+
+def _block_order(K: FinLattice, theta) -> FinLattice:
+    # the blocks by least member, [a] <= [b] iff a ^ b lies in the block of a
+    reps = sorted(set(theta.block_of))
+    return FinLattice(tuple(sum(1 << q for q, b in enumerate(reps)
+                                if theta.same(K.meet_table[a][b], a)) for a in reps))
+
+
+def test_census_order_embeddings_pinned():
+    base = [co_chain(2), co_chain(3), co_chain(4), co_chain(5), l_mn(1, 1), l_mn(1, 2)]
+    sources = base + [direct_product(A, B)
+                      for A, B in itertools.combinations_with_replacement(base, 2)
+                      if A.n * B.n <= 28]
+    out = []
+    for K in sources:
+        cons = congruence_lattice(K)
+        for T in (co_chain(3), l_mn(1, 1), l_mn(1, 2)):
+            isos = [[m.values for m in isomorphisms(_block_order(K, th), T)]
+                    for th in cons if len(set(th.block_of)) == T.n]
+            jis = T.join_irreducibles
+            tuples = [list(_order_embeddings(T, K, jis, [list(bits(K.up[b] & ~(1 << b)))] * len(jis)))
+                      for b in range(K.n)]
+            emb = embedding_search(T, K)
+            out.append([isos, tuples, None if emb is None else emb.values])
+    assert len(sources) == 10
+    assert _sha(out) == CENSUS_ORDER_EMBEDDINGS
 
 
 def test_isomorphisms_are_the_automorphisms_of_co3():

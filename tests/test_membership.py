@@ -339,6 +339,18 @@ def test_oracle_matches_decision_at_size_eight():
     assert (len(verdicts), sum(verdicts)) == (222, 63)
 
 
+# sha256 of the compact JSON list of brute_force_oracle verdicts over the
+# 300 lattices of size <= 8, in iter_lattices order
+ORACLE_UP_TO_8 = "ca4f39bbb66dacbc9df21413b9908d393169d41c5c59b0d837181a34dfdd0899"
+
+
+def test_oracle_verdicts_pinned_up_to_eight():
+    verdicts = [brute_force_oracle(L) for L in iter_lattices(8)]
+    assert (len(verdicts), sum(verdicts)) == (300, 104)
+    sha = hashlib.sha256(json.dumps(verdicts, separators=(",", ":")).encode()).hexdigest()
+    assert sha == ORACLE_UP_TO_8
+
+
 def test_separating_homs_are_homomorphisms_to_size_six():
     # every map the oracle's search returns is a lattice homomorphism into
     # Co(|J(L)|) that keeps its pair unordered
