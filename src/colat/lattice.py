@@ -445,12 +445,14 @@ def _order_embeddings(K: FinLattice, L: FinLattice, src, candidates):
             yield tuple(imgs)
             return
         x = src[i]
+        # the images v with imgs[k] <= v iff src[k] <= x, and v <= imgs[k]
+        # iff x <= src[k], for every k placed
+        allowed = -1
+        for k in range(i):
+            up, down = L.up[imgs[k]], L.down[imgs[k]]
+            allowed &= (up if K.leq(src[k], x) else ~up) & (down if K.leq(x, src[k]) else ~down)
         for v in candidates[i]:
-            for k in range(i):
-                if K.leq(src[k], x) != L.leq(imgs[k], v) or \
-                        K.leq(x, src[k]) != L.leq(v, imgs[k]):
-                    break
-            else:
+            if allowed >> v & 1:
                 imgs[i] = v
                 yield from extend(i + 1)
 
@@ -475,6 +477,18 @@ def embedding_search(K: FinLattice, L: FinLattice) -> LatticeMap | None:
     return None
 
 
+def _quotient(K: FinLattice, theta: Congruence) -> LatticeMap:
+    """The quotient map of K onto K/theta, whose elements are the blocks
+    of theta numbered in order of their least members."""
+    block_of = theta.block_of
+    reps = [i for i, b in enumerate(block_of) if b == i]
+    index = {r: q for q, r in enumerate(reps)}
+    # [a] <= [b] iff a ^ b lies in the block of a
+    up = tuple(sum(1 << index[b] for b in reps if block_of[K.meet_table[a][b]] == a)
+               for a in reps)
+    return LatticeMap(K, FinLattice(up, validate=False), tuple(index[b] for b in block_of))
+
+
 def surjection_search(K: FinLattice, L: FinLattice):
     """Iterate all surjective lattice homomorphisms from K onto L.
 
@@ -493,17 +507,11 @@ def surjection_search(K: FinLattice, L: FinLattice):
         return
     found = []
     for theta in congruence_lattice(K):
-        block_of = theta.block_of
-        reps = [i for i, b in enumerate(block_of) if b == i]
-        if len(reps) != L.n:
+        if len(set(theta.block_of)) != L.n:
             continue
-        index = {r: q for q, r in enumerate(reps)}
-        # [a] <= [b] iff a ^ b lies in the block of a
-        up = tuple(sum(1 << index[b] for b in reps if block_of[K.meet_table[a][b]] == a)
-                   for a in reps)
-        quotient = [index[b] for b in block_of]
-        for iso in isomorphisms(FinLattice(up, validate=False), L):
-            cand = LatticeMap(K, L, tuple(iso.values[q] for q in quotient))
+        quotient = _quotient(K, theta)
+        for iso in isomorphisms(quotient.target, L):
+            cand = LatticeMap(K, L, tuple(iso.values[q] for q in quotient.values))
             if cand.surjective and cand.preserves_ops():
                 found.append(cand)
     found.sort(key=lambda m: tuple(m.values[j] for j in K.join_irreducibles))

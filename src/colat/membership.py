@@ -20,7 +20,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .depend import dependency_closure
-from .lattice import FinLattice, LatticeError, bits
+from .lattice import (FinLattice, LatticeError, _quotient, bits, congruence_lattice,
+                      embedding_search, monolith)
 from .pool import ordered_map
 from .poset import Poset
 
@@ -257,133 +258,28 @@ def certificate_from_json(L: FinLattice, data: list[dict]) -> EmbeddingCertifica
 def brute_force_oracle(L: FinLattice) -> bool:
     """Decide SUB(LO) membership without the anchored chain construction.
 
-    Searches a jointly order-separating family of homomorphisms into
-    Co(k) for k = |J(L)|: for every pair x !<= y some member must keep
-    the images unordered.  Homomorphisms are found by backtracking over
-    arbitrary convex values, one separating witness per pair, so the
-    answer does not depend on any particular order of J_a(L).
+    L is in SUB(LO) iff every subdirectly irreducible quotient K of L
+    embeds in Co(k), k = |J(K)|.  The quotients come from
+    congruence_lattice, K is SI iff it has a monolith, and the embedding
+    from embedding_search, so chain_order and dependency_closure are
+    never called.
 
-    The search is exact on normalised homomorphisms only, with
-    f(top) = [0, m] and the next element placed at most its reverse in
-    [0, m] (see _co_chain).  Every f(z) lies in f(top) = [l, u], which
-    is not empty, since f(x) !<= f(y).  Shifting by -l maps Co([l, u])
-    isomorphically onto Co([0, u - l]), a sublattice of Co(k), and
-    reversing [0, m] is an automorphism of Co([0, m]) that fixes its top;
-    both keep f(x) !<= f(y).
+    Only if: SUB(LO) is a variety, so K is a member.  A member has a
+    jointly order-separating family of homomorphisms into Co(|J(K)|).
+    Their kernels meet to zero, and each nonzero kernel holds the
+    monolith of K, so some kernel is zero: that member embeds K.
+    If: L is a subdirect product of its SI quotients, and each embeds
+    in some Co(k), so L embeds in a product of those.
     """
     if L.n > 8:
         raise ValueError("oracle size guard exceeded (|L| > 8)")
-    pairs = [
-        (x, y)
-        for x in range(L.n)
-        for y in range(L.n)
-        if x != y and not L.leq(x, y)
-    ]
-    if not pairs:
-        return True
-    k = len(L.join_irreducibles)
-    co = _co_chain(k)[0]
-    separated = [False] * len(pairs)
-    for idx, (x, y) in enumerate(pairs):
-        if separated[idx]:
-            continue
-        hom = _separating_hom(L, k, x, y)
-        if hom is None:
+    for theta in congruence_lattice(L):
+        K = _quotient(L, theta).target
+        if monolith(K) is not None and embedding_search(K, _co(len(K.join_irreducibles))) is None:
             return False
-        for jdx, (u, v) in enumerate(pairs):
-            if not co.leq(hom[u], hom[v]):
-                separated[jdx] = True
     return True
 
 
 @lru_cache(maxsize=None)  # k <= 7 under the oracle's size guard
-def _co_chain(k: int) -> tuple[FinLattice, int, dict[int, int]]:
-    """Co(k) and the masks over its elements of the normalised images.
-
-    Returns Co(k), the mask of the intervals [0, m], which the top of L
-    may take, and for each such image the mask of the convex sets v in
-    [0, m] with v <= reverse_m(v) in element order, where reverse_m maps
-    i to m - i: the images the element placed after the top may take.
-    """
-    co, sets = Poset.chain(k).co_lattice()
-    index = {s: i for i, s in enumerate(sets)}
-    tops, halves = 0, {}
-    for m in range(k):
-        within = (1 << m + 1) - 1
-        top = index[within]
-        tops |= 1 << top
-        halves[top] = 0
-        for s in sets:
-            if not s & ~within:
-                reverse = sum(1 << m - i for i in bits(s))
-                if index[s] <= index[reverse]:
-                    halves[top] |= 1 << index[s]
-    return co, tops, halves
-
-
-def _separating_hom(L: FinLattice, k: int, x: int, y: int) -> list[int] | None:
-    """A normalised homomorphism L -> Co(k) whose image of x is not below
-    the image of y, as brute_force_oracle describes.
-
-    The elements of L get images in a fixed order, the top first, then x
-    and y, each trying the elements of Co(k) in ascending order.  Each
-    position's plan is set up once: the earlier elements below and above
-    its element, which bound its image by rows of co.up and co.down; the
-    earlier pairs whose join or meet it is, which fix its image; and the
-    earlier elements whose join or meet with it sits at an earlier
-    position.
-    """
-    co, tops, halves = _co_chain(k)
-    first = [L.top] + [e for e in (x, y) if e != L.top]
-    order = first + [e for e in range(L.n) if e not in first]
-    slot = [0] * L.n
-    for i, e in enumerate(order):
-        slot[e] = i
-    # per position: below, above, joins, meets, pair joins, pair meets
-    plans = [([], [], [], [], [], []) for _ in order]
-    for t, e in enumerate(order):
-        for i, u in enumerate(order[:t]):
-            if L.leq(u, e):
-                plans[t][0].append(i)
-            elif L.leq(e, u):
-                plans[t][1].append(i)
-            else:
-                for col, table in ((2, L.join_table), (3, L.meet_table)):
-                    s = slot[table[u][e]]
-                    if s < t:
-                        plans[t][col].append((i, s))
-                    else:
-                        # u and e incomparable: s names a later position
-                        plans[s][col + 2].append((i, t))
-    cj, cm, up, down = co.join_table, co.meet_table, co.up, co.down
-    sx, sy = slot[x], slot[y]
-    imgs: list[int] = []
-
-    def extend() -> bool:
-        t = len(imgs)
-        if t == L.n:
-            return True
-        below, above, joins, meets, pair_joins, pair_meets = plans[t]
-        mask = tops if t == 0 else halves[imgs[0]] if t == 1 else (1 << co.n) - 1
-        if t == sy:
-            mask &= ~up[imgs[sx]]  # the pair to separate stays unordered
-        for i in below:
-            mask &= up[imgs[i]]
-        for i in above:
-            mask &= down[imgs[i]]
-        for i, i2 in pair_joins:
-            mask &= 1 << cj[imgs[i]][imgs[i2]]
-        for i, i2 in pair_meets:
-            mask &= 1 << cm[imgs[i]][imgs[i2]]
-        for v in bits(mask):
-            if (all(cj[imgs[i]][v] == imgs[s] for i, s in joins)
-                    and all(cm[imgs[i]][v] == imgs[s] for i, s in meets)):
-                imgs.append(v)
-                if extend():
-                    return True
-                imgs.pop()
-        return False
-
-    if extend():
-        return [imgs[slot[e]] for e in range(L.n)]
-    return None
+def _co(k: int) -> FinLattice:
+    return Poset.chain(k).co_lattice()[0]

@@ -206,27 +206,29 @@ class Identity:
             raise TermError(f"unknown relation {self.relation!r}")
         if len(set(self.variables)) != len(self.variables):
             raise TermError("duplicate variable declaration")
-        used = term_variables(self.lhs) | term_variables(self.rhs)
-        stray = used - set(self.variables)
+        # one walk over both sides
+        stray = term_variables(join(self.lhs, self.rhs)) - set(self.variables)
         if stray:
             raise TermError(f"undeclared variables: {sorted(stray)}")
 
     # check's derived data, kept on the identity so that a later call costs
     # one attribute read: the runs of _symmetric_runs, the node list of both
-    # terms with the inclusions to test, and _compile's by prefix length
+    # terms with their roots and the inclusions to test, and _compile's by
+    # prefix length
     @cached_property
     def _run_ends(self) -> tuple[int, ...]:
         return _symmetric_runs(self)
 
     @cached_property
-    def _sides(self) -> tuple[list, list]:
-        """_term_nodes of lhs and rhs, and the inclusions (p, q) to test: lhs <= rhs
-        and, for "eq", rhs <= lhs, less those that Whitman's algorithm proves
-        for every lattice (only lhs <= rhs is left for E, P, HS and D2DUAL)."""
-        nodes, lhs, rhs = _term_nodes(self.variables, self.lhs, self.rhs)
+    def _sides(self) -> tuple[tuple, list]:
+        """_term_nodes of lhs and rhs, with the index of each root, and the
+        inclusions (p, q) to test: lhs <= rhs and, for "eq", rhs <= lhs, less
+        those that Whitman's algorithm proves for every lattice (only lhs <= rhs
+        is left for E, P, HS and D2DUAL)."""
+        nodes, lhs, rhs = term_nodes = _term_nodes(self.variables, self.lhs, self.rhs)
         wanted = [(lhs, rhs), (rhs, lhs)] if self.relation == "eq" else [(lhs, rhs)]
         memo: dict = {}
-        return nodes, [pq for pq in wanted if not _free_leq(nodes, *pq, memo)]
+        return term_nodes, [pq for pq in wanted if not _free_leq(nodes, *pq, memo)]
 
     @cached_property
     def _compiled(self) -> dict:
@@ -441,7 +443,7 @@ def _symmetric_runs(ident: Identity) -> tuple[int, ...]:
     of a run leaves every permutation of its rest.  A symmetry missed
     here costs the sweep speed, never a verdict.
     """
-    nodes, lhs, rhs = _term_nodes(ident.variables, ident.lhs, ident.rhs)
+    (nodes, lhs, rhs), _ = ident._sides
     v = len(ident.variables)
     # lhs and rhs as interned ids, equal for nodes equal up to that order, with
     # variable i read as place[i]: as declared, then with each adjacent pair swapped
@@ -479,7 +481,7 @@ def _compile(ident: Identity, n_prefix: int):
     """
     got = ident._compiled.get(n_prefix)
     if got is None:
-        terms, sides = ident._sides
+        (terms, *_), sides = ident._sides
         # children come first, so one reverse pass reaches all the left sides read
         left = {p for p, _ in sides}
         for k in reversed(range(len(terms))):
@@ -883,7 +885,7 @@ def _locate(L: FinLattice, ident: Identity, budget,
     start + (0, ...) fails.  Each inclusion that Whitman's algorithm
     proves for every lattice is skipped (rhs <= lhs for E, P, HS, D2DUAL).
     """
-    nodes, sides = ident._sides
+    (nodes, *_), sides = ident._sides
     search = _Demand(L, nodes, budget)
 
     def refutes(prefix):

@@ -4,7 +4,9 @@ from itertools import combinations, permutations, product
 
 from colat.catalog import co_chain, l_mn
 from colat.depend import dependency_closure
-from colat.lattice import FinLattice, LatticeMap, bits, embedding_search
+from colat.lattice import (FinLattice, LatticeMap, bits, congruence_lattice, embedding_search,
+                           monolith)
+from colat.poset import Poset
 from colat.terms import CheckResult, Identity, Term, check, parse_term
 
 
@@ -158,3 +160,27 @@ def catalog_level(L: FinLattice) -> int:
         if any(embedding_search(K, L) is not None for K in _catalog_si(size)):
             level = size
     return level
+
+
+def si_quotients(L: FinLattice):
+    """The subdirectly irreducible quotients of L, each L/theta built as the
+    greatest members of the blocks of theta in the order of L: [a] <= [b]
+    iff the greatest member of [a] lies below the greatest member of [b]."""
+    for theta in congruence_lattice(L):
+        tops = sorted({L.join_of(block) for block in theta.blocks()})
+        K = FinLattice(tuple(sum(1 << q for q, t in enumerate(tops) if L.leq(s, t))
+                             for s in tops))
+        if monolith(K) is not None:
+            yield K
+
+
+def in_sub_n(L: FinLattice, n: int) -> bool:
+    """Whether L lies in SUB(n), read off its SI quotients.
+
+    SUB(n) is a variety of lattices, so L lies in it iff each SI quotient
+    of L does; L is a subdirect product of those.  An SI lattice lies in
+    SUB(n) = ISP(Co(n)) iff it embeds in Co(n), since an SI sublattice of
+    a product embeds in one of its factors.
+    """
+    co = Poset.chain(n).co_lattice()[0]
+    return all(embedding_search(K, co) is not None for K in si_quotients(L))

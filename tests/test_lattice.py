@@ -15,6 +15,7 @@ from colat.lattice import (
     LatticeMap,
     _order_embeddings,
     _principal_congruences,
+    _quotient,
     bits,
     congruence_lattice,
     direct_product,
@@ -212,6 +213,20 @@ def test_surjections_pinned_up_to_eight():
             for L in members]
     assert (len(members), sum(len(row) for per in maps for row in per)) == (104, 497)
     assert _sha(maps) == SURJECTIONS_UP_TO_8
+
+
+def test_quotient_maps_onto_its_blocks():
+    # for every congruence theta of the lattices of size <= 7, the quotient
+    # map is a surjective homomorphism whose kernel is theta
+    count = 0
+    for L in iter_lattices(7):
+        for theta in congruence_lattice(L):
+            q = _quotient(L, theta)
+            assert q.surjective and q.preserves_ops(), (L.up, theta)
+            assert all((q(x) == q(y)) == theta.same(x, y)
+                       for x in range(L.n) for y in range(L.n)), (L.up, theta)
+            count += 1
+    assert count == 766
 
 
 def test_principal_order_is_the_closure_of_d():

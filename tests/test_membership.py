@@ -7,7 +7,6 @@ from colat.catalog import l_mn
 from colat.depend import dependency_closure
 from colat.lattice import (
     FinLattice,
-    LatticeMap,
     direct_product,
     iter_lattices,
     lattice_from_json,
@@ -16,7 +15,6 @@ from colat.lattice import (
 from colat.membership import (
     ChainOrderWitness,
     EmbeddingCertificate,
-    _separating_hom,
     brute_force_oracle,
     certificate_from_json,
     certificate_to_json,
@@ -28,7 +26,7 @@ from colat.membership import (
 )
 from colat.poset import Poset
 from colat.terms import builtin, check
-from oracles import catalog_level, distributive, first_chain_order
+from oracles import catalog_level, distributive, first_chain_order, in_sub_n
 
 
 def co_chain(n):
@@ -259,6 +257,13 @@ def test_least_level_is_the_widest_embedded_catalog_lattice():
     assert [levels.count(n) for n in range(5)] == [1, 35, 0, 67, 1]
 
 
+def test_sub_n_matches_si_quotient_oracle_to_size_seven():
+    # L is in SUB(n) iff every SI quotient of L embeds in Co(n)
+    pairs = [(L, n) for L in iter_lattices(7) for n in range(len(L.join_irreducibles) + 2)]
+    assert len(pairs) == 483
+    assert not [(L.up, n) for L, n in pairs if decide_sub_n(L, n) != in_sub_n(L, n)]
+
+
 def test_distributive_in_sub_two():
     for L in iter_lattices(6):
         if distributive(L):
@@ -349,27 +354,6 @@ def test_oracle_verdicts_pinned_up_to_eight():
     assert (len(verdicts), sum(verdicts)) == (300, 104)
     sha = hashlib.sha256(json.dumps(verdicts, separators=(",", ":")).encode()).hexdigest()
     assert sha == ORACLE_UP_TO_8
-
-
-def test_separating_homs_are_homomorphisms_to_size_six():
-    # every map the oracle's search returns is a lattice homomorphism into
-    # Co(|J(L)|) that keeps its pair unordered
-    found = missing = 0
-    for L in iter_lattices(6):
-        k = len(L.join_irreducibles)
-        co = co_chain(k)
-        for x in range(L.n):
-            for y in range(L.n):
-                if x == y or L.leq(x, y):
-                    continue
-                hom = _separating_hom(L, k, x, y)
-                if hom is None:
-                    missing += 1
-                    continue
-                found += 1
-                assert LatticeMap(L, co, tuple(hom)).preserves_ops(), (L.up, x, y)
-                assert not co.leq(hom[x], hom[y]), (L.up, x, y)
-    assert found and missing
 
 
 # -- structural bounds ------------------------------------------------------

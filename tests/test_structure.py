@@ -32,13 +32,20 @@ def test_one_backtracker_in_lattice():
     assert text.count("def extend") == 1
 
 
+def test_one_backtracker_in_membership():
+    # _permutation_chain holds the only backtracking extend of membership.py;
+    # the oracle reads embedding_search
+    text = (SOURCES[0].parent / "membership.py").read_text()
+    assert text.count("def extend") == 1
+
+
 @pytest.mark.parametrize("name", ["_derived_hom", "_config_source", "_resolve_target",
                                   "_bipartition_chain", "_block_sort", "_intervals_of",
                                   "_intervals_are_hom", "_chain_is_valid", "by_least",
                                   "_split_pairs", '"plain"', '"split"',
                                   "structural_predicates", "StructuralFlags",
                                   "_meet_pairs", "_covered", "variety_position",
-                                  "VarietyPosition"])
+                                  "VarietyPosition", "_separating_hom", "_co_chain"])
 def test_merged_map_builders_gone(name):
     # replaced by _ji_extension and catalog._catalog_target; the chain
     # search's bipartition guess and leaf re-check by its exact prunes,
@@ -47,7 +54,8 @@ def test_merged_map_builders_gone(name):
     # catalog lattice by its _catalog_target tag, and the structural flags
     # are checks of identities; the Lambda relations are read off the
     # generator masks, and the variety position was a wrapper of
-    # decide_sub_n and embedding_search
+    # decide_sub_n and embedding_search; the oracle's homomorphism search
+    # into Co(|J(L)|) by embedding_search from the SI quotients
     assert not [p.name for p in SOURCES if name in p.read_text()]
 
 
