@@ -264,10 +264,10 @@ def brute_force_oracle(L: FinLattice) -> bool:
     from embedding_search, so chain_order and dependency_closure are
     never called.
 
-    Only if: SUB(LO) is a variety, so K is a member.  A member has a
-    jointly order-separating family of homomorphisms into Co(|J(K)|).
-    Their kernels meet to zero, and each nonzero kernel holds the
-    monolith of K, so some kernel is zero: that member embeds K.
+    Only if: SUB(LO) is a variety (claim (1)), so K is a member.  A
+    member has a jointly order-separating family of homomorphisms into
+    Co(|J(K)|).  Their kernels meet to zero, and each nonzero kernel
+    holds the monolith of K, so some kernel is zero: that member embeds K.
     If: L is a subdirect product of its SI quotients, and each embeds
     in some Co(k), so L embeds in a product of those.
     """
