@@ -206,6 +206,8 @@ def test_decisions_pinned_up_to_nine():
     rows = []
     for L in iter_lattices(9):
         r = decide_sub_lo(L)
+        assert r.accepted == (r.certificate is not None)
+        assert r.certificate is None or verify_certificate(L, r.certificate), L.up
         chains = None if r.certificate is None else [list(w.chain) for w in r.certificate.witnesses]
         rows.append([r.accepted, r.anchor, chains])
     assert (len(rows), sum(row[0] for row in rows)) == (1378, 283)

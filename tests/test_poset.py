@@ -9,6 +9,7 @@ import pytest
 from colat.lattice import FinLattice, LatticeError, iter_lattices
 from colat import poset
 from colat.poset import Poset, PosetError, poset_from_json, poset_to_json
+from colat.star import LABELS, _completions
 
 
 def _brute_convex_sets(P: Poset) -> set[frozenset[int]]:
@@ -78,14 +79,29 @@ def test_hull_is_least_convex_superset():
                 assert h & ~c == 0
 
 
+def _co_lattice_posets():
+    yield "wxyz", Poset.from_covers("wxyz", [("w", "x"), ("x", "y"), ("w", "z")])
+    for n in range(1, 9):
+        yield f"chain{n}", Poset.chain(n)
+    for n in range(1, 5):
+        yield f"antichain{n}", Poset.antichain(n)
+    # every completion Q of the (P, Q) search, and P = Q minus c
+    keep = [i for i, lab in enumerate(LABELS) if lab != "c"]
+    for bits, Q in _completions():
+        tag = "".join(map(str, bits))
+        yield f"Q{tag}", Q
+        yield f"P{tag}", Q.restrict(keep)
+
+
 def test_meet_is_intersection_join_is_hull():
-    P = Poset.from_covers("wxyz", [("w", "x"), ("x", "y"), ("w", "z")])
-    L, sets = P.co_lattice()
-    for i, s in enumerate(sets):
-        for j, t in enumerate(sets):
-            assert sets[L.meet_table[i][j]] == s & t
-            assert sets[L.join_table[i][j]] == P.convex_hull(s | t)
-    assert sets[L.bottom] == 0
+    for name, P in _co_lattice_posets():
+        L, sets = P.co_lattice()
+        assert sorted(sets) == sets and len(set(sets)) == L.n, name
+        for i, s in enumerate(sets):
+            for j, t in enumerate(sets):
+                assert sets[L.meet_table[i][j]] == s & t, name
+                assert sets[L.join_table[i][j]] == P.convex_hull(s | t), name
+        assert sets[L.bottom] == 0, name
 
 
 def test_dual_poset_has_same_convex_sets():

@@ -292,8 +292,13 @@ def test_sections_pinned():
     products = [P for i, a in enumerate(base) for b in base[i:]
                 if (P := direct_product(a, b)).n <= 60]
     runs = [(L, targets) for L in members] + [(K, targets[1:4]) for K in base + products]
-    sections = [retract_section(K, pi, target).values
-                for K, ts in runs for target, T in ts for pi in surjection_search(K, T)]
+    sections = []
+    for K, ts in runs:
+        for target, T in ts:
+            for pi in surjection_search(K, T):
+                phi = retract_section(K, pi, target)
+                assert all(pi(phi(x)) == x for x in range(T.n)), (K.up, target)
+                sections.append(phi.values)
     assert len(sections) == 497 + 31
     text = json.dumps(sections, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == SECTIONS
