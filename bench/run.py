@@ -20,8 +20,9 @@ the 222 lattices of size 8 and records how many it accepts (63).  One
 row runs ``decide_sub_lo`` on each of the 1,078 lattices of size 9 and
 records how many it accepts (179).  Two rows run ``decide_sub_lo`` on
 Co(12) and Co(14), where the dependency sets of the anchors reach 12 and
-14 join-irreducibles, and record the verdict and the longest certificate
-chain.  Two rows take those 179: one
+14 join-irreducibles, and one on the 484-element Co(6) x Co(6); each
+records the verdict and the longest certificate chain.  Two rows take
+those 179: one
 runs ``congruence_lattice`` on each and records the congruence count
 (6,190), the other runs ``surjection_search`` from each onto Co(1), Co(3),
 L(1,1), L(1,2) and L(2,1), the SI targets of the paper's claim (3), and
@@ -131,10 +132,11 @@ def main() -> int:
     rows.append({"case": "decide_sub_lo@lattices_of_size(9)", "lattices": len(size9),
                  "accepted": accepted, **times})
     print(f"{rows[-1]['case']:24s} accepted={accepted:4d} median={times['median_s']:7.3f} s")
-    for n in (12, 14):
-        L = catalog.co_chain(n)
+    co6 = catalog.co_chain(6)
+    for name, L in (("co_chain(12)", catalog.co_chain(12)), ("co_chain(14)", catalog.co_chain(14)),
+                    ("co_chain(6)^2", lattice.direct_product(co6, co6))):
         result, times = timed(lambda: membership.decide_sub_lo(L))
-        rows.append({"case": f"decide_sub_lo@co_chain({n})", "n": L.n, "accepted": result.accepted,
+        rows.append({"case": f"decide_sub_lo@{name}", "n": L.n, "accepted": result.accepted,
                      "longest": max(result.certificate.chain_sizes), **times})
         print(f"{rows[-1]['case']:24s} longest={rows[-1]['longest']:2d} median={times['median_s']:7.3f} s")
     members9 = [L for L in size9 if membership.decide_sub_lo(L).accepted]

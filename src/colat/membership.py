@@ -20,8 +20,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .depend import dependency_closure
-from .lattice import (FinLattice, LatticeError, _quotient, bits, congruence_lattice,
-                      embedding_search, monolith)
+from .lattice import (FinLattice, _quotient, bits, congruence_lattice, embedding_search,
+                      monolith)
 from .pool import ordered_map
 from .poset import Poset
 
@@ -127,9 +127,15 @@ def chain_order(L: FinLattice, a: int) -> ChainOrderWitness | None:
 def decide_sub_lo(L: FinLattice, workers: int = 1) -> MembershipResult:
     """Decide membership of L in SUB(LO).
 
-    Accepted means every join-irreducible admits a chain-order witness;
-    the assembled certificate is re-verified before being returned.  A
-    rejection reports the first failing anchor in element order.
+    Accepted means every join-irreducible admits a chain-order witness.
+    A rejection reports the first failing anchor in element order.
+
+    The assembled certificate passes verify_certificate by construction.
+    The exact prunes of _permutation_chain make every witness a valid
+    order.  There is one witness per join-irreducible a, on a chain
+    J_a(L) within J(L), so the chain lengths sum to at most |J(L)|^2.  If
+    x != y, some join-irreducible a lies below one of them and not the
+    other, and the witness anchored at a separates them.
     """
     jis = L.join_irreducibles
     found: list[ChainOrderWitness] = []
@@ -146,8 +152,6 @@ def decide_sub_lo(L: FinLattice, workers: int = 1) -> MembershipResult:
     cert = EmbeddingCertificate(
         tuple(found), tuple(induced_map(L, w.chain) for w in found)
     )
-    if not verify_certificate(L, cert):
-        raise LatticeError("assembled certificate failed self-verification")
     return MembershipResult(True, cert, None)
 
 
@@ -168,14 +172,15 @@ def _hull(mask: int) -> int:
 
 
 def _is_convex_hom(L: FinLattice, chain: tuple[int, ...]) -> bool:
-    """Every trace on chain, as a position mask, is an interval; the trace
-    of each join is the hull of the two traces and of each meet their
-    intersection."""
+    """Every trace on chain, as a position mask, is an interval, and the
+    trace of each join is the hull of the two traces.  Meets need no test:
+    b <= x ^ y iff b <= x and b <= y, so every trace map sends meets to
+    intersections."""
     tr = [sum(1 << i for i, b in enumerate(chain) if L.leq(b, x)) for x in range(L.n)]
     if any(t != _hull(t) for t in tr):
         return False
-    jt, mt = L.join_table, L.meet_table
-    return all(tr[jt[x][y]] == _hull(tr[x] | tr[y]) and tr[mt[x][y]] == tr[x] & tr[y]
+    jt = L.join_table
+    return all(tr[jt[x][y]] == _hull(tr[x] | tr[y])
                for x in range(L.n) for y in range(x + 1, L.n))
 
 
@@ -198,11 +203,7 @@ def verify_certificate(L: FinLattice, cert: EmbeddingCertificate) -> bool:
             return False
         if stored != induced_map(L, w.chain) or not _is_convex_hom(L, w.chain):
             return False
-    for x in range(L.n):
-        for y in range(x + 1, L.n):
-            if cert.component(x) == cert.component(y):
-                return False
-    return True
+    return len({cert.component(x) for x in range(L.n)}) == L.n
 
 
 def certificate_to_json(L: FinLattice, cert: EmbeddingCertificate) -> list[dict]:
@@ -247,7 +248,8 @@ def certificate_from_json(L: FinLattice, data: list[dict]) -> EmbeddingCertifica
         chain = tuple(element(lbl) for lbl in item["chain"])
         phi = [()] * L.n
         for lbl, pos in item["map"].items():
-            if not (isinstance(pos, list) and all(isinstance(p, int) for p in pos)):
+            if not (isinstance(pos, list)
+                    and all(isinstance(p, int) and not isinstance(p, bool) for p in pos)):
                 raise bad(f"map of {lbl!r} is not a list of positions")
             phi[element(lbl)] = tuple(pos)
         witnesses.append(ChainOrderWitness(anchor, chain))

@@ -11,29 +11,16 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 
-_SHARED = None
-
-
-def _init(fn, shared) -> None:
-    global _SHARED
-    _SHARED = (fn, shared)
-
-
-def _call(item):
-    fn, shared = _SHARED
-    return fn(shared, item)
-
 
 def _serve(conn, fn, shared) -> None:
     """Worker loop: answer each item from conn, in order, until it closes."""
-    _init(fn, shared)
     while True:
         try:
             item = conn.recv()
         except EOFError:
             return
         try:
-            conn.send((True, _call(item)))
+            conn.send((True, fn(shared, item)))
         except Exception as exc:
             conn.send((False, exc))
 

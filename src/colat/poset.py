@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .lattice import (FinLattice, LatticeError, _covers, _order_down, _restrict,
-                      _transitive_close, bits)
+from .lattice import FinLattice, _covers, _order_down, _restrict, _transitive_close, bits
 
 
 class PosetError(ValueError):
@@ -103,14 +102,15 @@ class Poset:
         return "{" + ",".join(names) + "}"
 
     def co_lattice(self) -> tuple[FinLattice, list[int]]:
-        """Lattice of order-convex subsets: meet is intersection, join is
-        the convex hull of the union. Returns the lattice and the mask of
+        """Lattice of order-convex subsets under inclusion, and the mask of
         each element, indexed identically.  Limited to 256 elements, counted
-        before the n x n tables are built."""
+        before the n x n tables are built.  Its meet is intersection and its
+        join the convex hull of the union, with no cross-check: convex sets
+        are closed under intersection, and the hull of a union is its least
+        convex superset."""
         sets = self.convex_sets()
         if len(sets) > 256:
             raise PosetError(f"Co(P) has {len(sets)} elements; limited to 256")
-        index = {s: i for i, s in enumerate(sets)}
         n = len(sets)
         up = [0] * n
         for i, s in enumerate(sets):
@@ -118,15 +118,7 @@ class Poset:
                 if s & ~t == 0:
                     up[i] |= 1 << j
         labels = tuple(self.set_label(s) for s in sets)
-        L = FinLattice(tuple(up), labels, validate=False)
-        # cross-check the table against the intended operations
-        for i, s in enumerate(sets):
-            for j, t in enumerate(sets):
-                if L.join_table[i][j] != index[self.convex_hull(s | t)]:
-                    raise LatticeError("join table disagrees with convex hull")
-                if L.meet_table[i][j] != index[s & t]:
-                    raise LatticeError("meet table disagrees with intersection")
-        return L, sets
+        return FinLattice(tuple(up), labels, validate=False), sets
 
 
 def poset_to_json(P: Poset) -> dict:
@@ -138,9 +130,8 @@ def poset_from_json(data: dict) -> Poset:
     if not (isinstance(data, dict) and isinstance(data.get("elements"), list)
             and isinstance(data.get("covers"), list)):
         raise PosetError("bad poset JSON: needs an object with 'elements' and 'covers' lists")
-    try:
-        labels = [str(x) for x in data["elements"]]
-        covers = [(str(a), str(b)) for a, b in data["covers"]]
-    except (TypeError, ValueError) as exc:
-        raise PosetError(f"bad poset JSON: {exc}") from exc
-    return Poset.from_covers(labels, covers)
+    covers = data["covers"]
+    if not all(isinstance(c, list) and len(c) == 2 for c in covers):
+        raise PosetError("bad poset JSON: each cover must be a list of two labels")
+    return Poset.from_covers([str(x) for x in data["elements"]],
+                             [(str(a), str(b)) for a, b in covers])

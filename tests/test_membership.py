@@ -302,6 +302,27 @@ def test_certificate_tampered_map_fails():
     assert not verify_certificate(L, certificate_from_json(L, data))
 
 
+@pytest.mark.parametrize("pos", [[False], [True], [0, True]])
+def test_certificate_rejects_boolean_positions(pos):
+    # False == 0 in a tuple comparison, so a boolean would verify as a position
+    L = co_chain(1)
+    data = certificate_to_json(L, decide_sub_lo(L).certificate)
+    data[0]["map"][L.label_of(L.top)] = pos
+    with pytest.raises(ValueError, match="malformed certificate: map of"):
+        certificate_from_json(L, data)
+
+
+def test_certificate_of_non_member_fails(diamond):
+    # on the order a, b, c every trace is an interval and every meet goes to
+    # the intersection of traces, but a v b, the top, is traced onto all three
+    chain = diamond.join_irreducibles
+    traces = induced_map(diamond, chain)
+    assert all(t == tuple(range(t[0], t[-1] + 1)) for t in traces if t)
+    cert = EmbeddingCertificate(tuple(ChainOrderWitness(a, chain) for a in chain),
+                                (traces,) * len(chain))
+    assert not verify_certificate(diamond, cert)
+
+
 def test_certificate_missing_witness_fails():
     L = co_chain(4)
     cert = decide_sub_lo(L).certificate

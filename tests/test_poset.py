@@ -142,6 +142,13 @@ def test_from_json_requires_lists(data):
         poset_from_json(data)
 
 
+@pytest.mark.parametrize("covers", [["ab"], [{"a": 1, "b": 2}], [["a"]], [["a", "b", "b"]], [5]])
+def test_from_json_requires_two_element_covers(covers):
+    # a two-character string or a two-key object unpacks to a pair, but is no cover
+    with pytest.raises(PosetError, match="each cover must be a list of two labels"):
+        poset_from_json({"elements": ["a", "b"], "covers": covers})
+
+
 def test_json_round_trip():
     P = Poset.from_covers("abcde", [("a", "b"), ("b", "c"), ("a", "d"), ("d", "c"), ("c", "e")])
     Q = poset_from_json(poset_to_json(P))

@@ -19,11 +19,12 @@ def test_bit_loop_only_in_bits_and_hot_loops():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_worker_pool_only_in_pool_module(path):
-    # multiprocessing and the worker-side global state live in pool.py alone
+    # multiprocessing lives in pool.py alone, and no module keeps global
+    # state: the workers receive fn and shared through the fork
     text = path.read_text()
     in_pool = path.name == "pool.py"
     assert ("import multiprocessing" in text or "from multiprocessing" in text) == in_pool
-    assert ("global " in text) == in_pool
+    assert not any(isinstance(n, ast.Global) for n in ast.walk(ast.parse(text)))
 
 
 def test_one_backtracker_in_lattice():
@@ -57,6 +58,16 @@ def test_merged_map_builders_gone(name):
     # decide_sub_n and embedding_search; the oracle's homomorphism search
     # into Co(|J(L)|) by embedding_search from the SI quotients
     assert not [p.name for p in SOURCES if name in p.read_text()]
+
+
+@pytest.mark.parametrize("message", ["self-verification", "disagrees with convex hull",
+                                     "disagrees with intersection", "no stable tuple",
+                                     "section verification failed", "failed validation"])
+def test_proved_rechecks_gone(message):
+    # decide_sub_lo's certificate, co_lattice's tables, retract_section's
+    # loop bound and section, and canonical_bitrack are correct by their
+    # construction; each docstring states the proof and the tests check it
+    assert not [p.name for p in SOURCES if message in p.read_text()]
 
 
 def test_no_term_walk_recurses():
