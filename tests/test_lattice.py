@@ -209,12 +209,9 @@ def test_congruences_and_monoliths_pinned_up_to_eight():
 def test_surjections_pinned_up_to_eight():
     members = [L for L in iter_lattices(8) if decide_sub_lo(L).accepted]
     targets = [co_chain(1), co_chain(3), l_mn(1, 1), l_mn(1, 2), l_mn(2, 1)]
-    maps = [[sorted(list(m.values) for m in surjection_search(L, T)) for T in targets]
-            for L in members]
-    for L in members:
-        for T in targets:
-            for m in surjection_search(L, T):
-                assert m.surjective and m.preserves_ops(), (L.up, T.n, m.values)
+    found = [[list(surjection_search(L, T)) for T in targets] for L in members]
+    assert all(m.surjective and m.preserves_ops() for per in found for row in per for m in row)
+    maps = [[sorted(list(m.values) for m in row) for row in per] for per in found]
     assert (len(members), sum(len(row) for per in maps for row in per)) == (104, 497)
     assert _sha(maps) == SURJECTIONS_UP_TO_8
 
