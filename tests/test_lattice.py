@@ -32,6 +32,7 @@ from colat.lattice import (
 )
 from colat.membership import decide_sub_lo
 from colat.poset import Poset
+from colat.star import LABELS, _completions
 from colat.terms import builtin, check
 from oracles import backtracking_surjections, d_closure, distributive
 
@@ -246,6 +247,26 @@ def test_principal_order_is_the_closure_of_d():
                            if below[index[con[k]]] >> index[con[j]] & 1}
 
 
+# sha256 of compact JSON of (join_table, meet_table, bottom, top) over: the
+# 300 lattices of size <= 8; Co(1..8) and L(m,n) with m + n <= 5; the four
+# products among the census sources of test_census_order_embeddings_pinned;
+# and Co(Q) and Co(P), P = Q without c, of the 28 completions of (*)
+TABLES = "98fc24c72e24ed1872cfe74cd130f0fe119db81b60ccacabfc8fc484d4fa11f9"
+
+
+def test_tables_pinned():
+    base = [co_chain(2), co_chain(3), co_chain(4), co_chain(5), l_mn(1, 1), l_mn(1, 2)]
+    keep = [i for i, label in enumerate(LABELS) if label != "c"]
+    corpus = (list(iter_lattices(8)) + [co_chain(n) for n in range(1, 9)]
+              + [l_mn(m, k) for m in range(1, 5) for k in range(1, 6 - m)]
+              + [direct_product(A, B)
+                 for A, B in itertools.combinations_with_replacement(base, 2)
+                 if A.n * B.n <= 28]
+              + [R.co_lattice()[0] for _, Q in _completions() for R in (Q, Q.restrict(keep))])
+    assert len(corpus) == 300 + 8 + 10 + 4 + 56
+    assert _sha([[L.join_table, L.meet_table, L.bottom, L.top] for L in corpus]) == TABLES
+
+
 def test_direct_product_shape():
     L = direct_product(chain_lattice(2), chain_lattice(3))
     assert L.n == 6
@@ -366,12 +387,10 @@ def test_find_isomorphism():
     assert find_isomorphism(pentagon(), diamond()) is None
 
 
-def _brute_lattice_count(n: int) -> int:
+def _orientation_orders(n: int):
     # independent oracle: every orientation of each unordered pair, filtered
-    # to transitive lattice orders, deduplicated by permutation
+    # to transitive orders, as up-set tuples
     pairs = list(itertools.combinations(range(n), 2))
-    seen = set()
-    count = 0
     for states in itertools.product((0, 1, 2), repeat=len(pairs)):
         up = [1 << i for i in range(n)]
         for (i, j), st in zip(pairs, states):
@@ -390,10 +409,17 @@ def _brute_lattice_count(n: int) -> int:
                     break
             if not ok:
                 break
-        if not ok:
-            continue
+        if ok:
+            yield tuple(up)
+
+
+def _brute_lattice_count(n: int) -> int:
+    # the lattice orders of _orientation_orders, deduplicated by permutation
+    seen = set()
+    count = 0
+    for up in _orientation_orders(n):
         try:
-            FinLattice(tuple(up), validate=False)
+            FinLattice(up, validate=False)
         except LatticeError:
             continue
         key = min(_permute_up(up, p) for p in itertools.permutations(range(n)))
@@ -420,6 +446,25 @@ def _permute_up(up, perm):
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 5)])
 def test_small_lattice_counts_match_brute_force(n, count):
     assert len(lattices_of_size(n)) == count == _brute_lattice_count(n)
+
+
+# sha256 of compact JSON, over the orders of _orientation_orders(n) for
+# n = 0..5 that are not lattices (4,049 of the 4,474), of each up-set list
+# with the message of the LatticeError that FinLattice raises on it; all
+# five messages occur, "lacks bottom or top" only on the empty order
+NON_LATTICE_MESSAGES_UP_TO_5 = "a36892f1c6b3213142a1696248226c1d339d4749e5fd4cbaf0f884c861b30596"
+
+
+def test_non_lattice_messages_pinned():
+    out = []
+    for n in range(6):
+        for up in _orientation_orders(n):
+            try:
+                FinLattice(up, validate=False)
+            except LatticeError as exc:
+                out.append([list(up), str(exc)])
+    assert len(out) == 4049
+    assert _sha(out) == NON_LATTICE_MESSAGES_UP_TO_5
 
 
 def test_lattice_counts_six_seven():
