@@ -28,7 +28,9 @@ runs ``congruence_lattice`` on each and records the congruence count
 L(1,1), L(1,2) and L(2,1), the SI targets of the paper's claim (3), and
 records the maps found per target (713, 36, 306, 8 and 1).  Two
 rows time ``lattices_of_size`` at sizes 8 and 9 and record the lattice
-counts.  A last row times the exhaustive ``search_pq(limit=None)`` and
+counts.  Two rows time the table builds of the 484-element
+``direct_product(co_chain(6), co_chain(6))`` and the 79-element
+``Poset.chain(12).co_lattice()`` and record their sizes.  A last row times the exhaustive ``search_pq(limit=None)`` and
 lists |Co(Q)| of the pairs it finds.  OUT.json records the machine
 (nproc, CPU model, Python and numpy versions) and every timing.
 """
@@ -155,6 +157,13 @@ def main() -> int:
         found, times = timed(lambda: lattice.lattices_of_size(n))
         rows.append({"case": f"lattices_of_size({n})", "lattices": len(found), **times})
         print(f"{rows[-1]['case']:20s} lattices={len(found):5d} median={times['median_s']:7.3f} s")
+    for name, build in (("direct_product(co_chain(6),co_chain(6))",
+                         lambda: lattice.direct_product(co6, co6)),
+                        ("Poset.chain(12).co_lattice()",
+                         lambda: poset.Poset.chain(12).co_lattice()[0])):
+        L, times = timed(build)
+        rows.append({"case": name, "n": L.n, **times})
+        print(f"{name:24s} n={L.n:3d} median={times['median_s']:7.3f} s")
     found, times = timed(lambda: star.search_pq(limit=None))
     rows.append({"case": "search_pq(limit=None)",
                  "pairs": [w.Q.co_lattice()[0].n for w in found], **times})

@@ -61,7 +61,9 @@ def _catalog_target(tag: str, params: tuple[int, ...]) -> tuple[FinLattice, tupl
     share the result and never write to it.  Its elements are the convex
     subsets of the chain that are unions of generator masks.  The
     16-element bound of Poset.convex_sets is checked before the chain is
-    built, which alone takes seconds at a few thousand elements.
+    built, which alone takes seconds at a few thousand elements.  The
+    restriction of an order to a subset is an order, so it is not
+    re-validated.
     """
     gens = _generators(tag, params)
     if len(gens) > 16:
@@ -70,7 +72,7 @@ def _catalog_target(tag: str, params: tuple[int, ...]) -> tuple[FinLattice, tupl
     keep = [e for e, s in enumerate(masks)
             if s == reduce(or_, (g for g in gens if g & ~s == 0), 0)]
     if len(keep) < T.n:
-        T = FinLattice(_restrict(T.up, keep), tuple(T.label_of(e) for e in keep))
+        T = FinLattice(_restrict(T.up, keep), tuple(T.labels[e] for e in keep), validate=False)
         masks = [masks[e] for e in keep]
     at = {s: e for e, s in enumerate(masks)}
     return T, tuple(at[s] for s in gens)

@@ -211,9 +211,9 @@ def certificate_to_json(L: FinLattice, cert: EmbeddingCertificate) -> list[dict]
     for w, phi in zip(cert.witnesses, cert.maps):
         out.append(
             {
-                "anchor": L.label_of(w.anchor),
-                "chain": [L.label_of(b) for b in w.chain],
-                "map": {L.label_of(x): list(phi[x]) for x in range(L.n)},
+                "anchor": L.labels[w.anchor],
+                "chain": [L.labels[b] for b in w.chain],
+                "map": {L.labels[x]: list(phi[x]) for x in range(L.n)},
             }
         )
     return out
@@ -225,7 +225,7 @@ def certificate_from_json(L: FinLattice, data: list[dict]) -> EmbeddingCertifica
     Raises ValueError("malformed certificate: ...") when data has another
     shape or names an element that L lacks.
     """
-    index = {L.label_of(i): i for i in range(L.n)}
+    index = {L.labels[i]: i for i in range(L.n)}
 
     def bad(why: str) -> ValueError:
         return ValueError(f"malformed certificate: {why}")

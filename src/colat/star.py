@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import product
 
+from .lattice import _restrict
 from .poset import Poset, poset_from_json, poset_to_json
 from .terms import CheckResult, Identity, builtin, check, decide_identity, eval_term
 
@@ -157,11 +158,7 @@ def _induced_subposet(P: Poset, Q: Poset) -> bool:
         positions = [Q.labels.index(lab) for lab in P.labels]
     except ValueError:
         return False
-    for i in range(P.n):
-        for j in range(P.n):
-            if P.leq(i, j) != Q.leq(positions[i], positions[j]):
-                return False
-    return True
+    return _restrict(Q.up, positions) == P.up
 
 
 def verify_separation(P: Poset, Q: Poset, workers: int = 1,

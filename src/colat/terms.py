@@ -250,6 +250,8 @@ def identity_from_json(obj: dict) -> Identity:
     if not isinstance(obj, dict):
         raise TermError("identity JSON must be an object")
     name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise TermError("identity 'name' must be a string")
     lhs, rhs = obj.get("lhs"), obj.get("rhs")
     if lhs in (None, "") or rhs in (None, ""):
         raise TermError(

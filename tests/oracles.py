@@ -167,7 +167,10 @@ def si_quotients(L: FinLattice):
     greatest members of the blocks of theta in the order of L: [a] <= [b]
     iff the greatest member of [a] lies below the greatest member of [b]."""
     for theta in congruence_lattice(L):
-        tops = sorted({L.join_of(block) for block in theta.blocks()})
+        blocks: dict[int, list[int]] = {}
+        for x, b in enumerate(theta.block_of):
+            blocks.setdefault(b, []).append(x)
+        tops = sorted({L.join_of(block) for block in blocks.values()})
         K = FinLattice(tuple(sum(1 << q for q, t in enumerate(tops) if L.leq(s, t))
                              for s in tops))
         if monolith(K) is not None:

@@ -26,7 +26,7 @@ from colat.poset import Poset, PosetError
 
 
 def by_label(L, lbl):
-    return next(i for i in range(L.n) if L.label_of(i) == lbl)
+    return next(i for i in range(L.n) if L.labels[i] == lbl)
 
 
 def sums_upto(hi):
@@ -108,7 +108,7 @@ def test_lmn_join_irreducibles():
         L = l_mn(m, n)
         jis = L.join_irreducibles
         assert len(jis) == m + n + 1
-        labels = {L.label_of(a) for a in jis}
+        labels = {L.labels[a] for a in jis}
         expected = {"{%d}" % i for i in range(m + n + 1) if i != m}
         expected.add("{%d,%d}" % (m - 1, m))
         assert labels == expected
@@ -118,7 +118,7 @@ def test_lmn_is_bounded_sublattice_of_co_chain():
     for m, n in sums_upto(6):
         L = l_mn(m, n)
         big = co_chain(m + n + 1)
-        values = tuple(by_label(big, L.label_of(x)) for x in range(L.n))
+        values = tuple(by_label(big, L.labels[x]) for x in range(L.n))
         inc = LatticeMap(L, big, values)
         assert inc.injective and inc.preserves_ops()
         assert values[L.bottom] == big.bottom and values[L.top] == big.top
@@ -141,19 +141,19 @@ def test_lmn_monolith_identifies_cm_with_singleton():
 def test_canonical_bitrack_1_1():
     L = l_mn(1, 1)
     t = canonical_bitrack(1, 1)
-    names = lambda xs: tuple(L.label_of(x) for x in xs)
+    names = lambda xs: tuple(L.labels[x] for x in xs)
     assert names(t.first.entries) == ("{0,1}", "{0}")
-    assert L.label_of(t.first.side) == "{2}"
+    assert L.labels[t.first.side] == "{2}"
     assert names(t.second.entries) == ("{0,1}", "{2}")
-    assert L.label_of(t.second.side) == "{0}"
+    assert L.labels[t.second.side] == "{0}"
 
 
 def test_canonical_bitrack_2_1():
     L = l_mn(2, 1)
     t = canonical_bitrack(2, 1)
-    names = tuple(L.label_of(x) for x in t.first.entries)
+    names = tuple(L.labels[x] for x in t.first.entries)
     assert names == ("{1,2}", "{1}", "{0}")
-    assert L.label_of(t.first.side) == "{3}"
+    assert L.labels[t.first.side] == "{3}"
 
 
 def test_canonical_bitrack_valid_up_to_six():

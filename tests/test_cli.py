@@ -179,6 +179,8 @@ class TestCheck:
         ({"name": "X", "vars": ["x"], "lhs": "x", "rhs": "x"}, "'relation'"),
         ({"name": "X", "vars": ["x"], "relation": "eq", "lhs": 5, "rhs": "x"},
          "term strings"),
+        ({"name": ["n"], "vars": ["x"], "relation": "eq", "lhs": "x", "rhs": "x"},
+         "'name'"),
     ])
     def test_malformed_identity_file(self, co3, tmp_path, capsys, data, message):
         path = tmp_path / "ident.json"

@@ -34,7 +34,7 @@ def co_chain(n):
 
 
 def by_label(L, lbl):
-    return next(i for i in range(L.n) if L.label_of(i) == lbl)
+    return next(i for i in range(L.n) if L.labels[i] == lbl)
 
 
 @pytest.fixture
@@ -66,7 +66,7 @@ def test_chain_order_co3_middle_singleton():
     L = co_chain(3)
     a = by_label(L, "{1}")
     w = chain_order(L, a)
-    labels = tuple(L.label_of(b) for b in w.chain)
+    labels = tuple(L.labels[b] for b in w.chain)
     assert labels in (("{0}", "{1}", "{2}"), ("{2}", "{1}", "{0}"))
 
 
@@ -297,7 +297,7 @@ def test_certificate_tampered_map_fails():
     cert = decide_sub_lo(L).certificate
     data = certificate_to_json(L, cert)
     item = next(d for d in data if len(d["chain"]) >= 2)
-    top_label = L.label_of(L.top)
+    top_label = L.labels[L.top]
     item["map"][top_label] = item["map"][top_label][:-1]
     assert not verify_certificate(L, certificate_from_json(L, data))
 
@@ -307,7 +307,7 @@ def test_certificate_rejects_boolean_positions(pos):
     # False == 0 in a tuple comparison, so a boolean would verify as a position
     L = co_chain(1)
     data = certificate_to_json(L, decide_sub_lo(L).certificate)
-    data[0]["map"][L.label_of(L.top)] = pos
+    data[0]["map"][L.labels[L.top]] = pos
     with pytest.raises(ValueError, match="malformed certificate: map of"):
         certificate_from_json(L, data)
 

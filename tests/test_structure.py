@@ -9,12 +9,12 @@ import pytest
 SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "colat").glob("*.py"))
 
 
-def test_bit_loop_only_in_bits_and_hot_loops():
-    # bits() in lattice.py, plus the inline copy kept in _extreme_of, the
-    # inner loop of every join and meet table
+def test_bit_loop_only_in_bits():
+    # every join and meet table is read off keyed up- and down-sets, so
+    # bits() in lattice.py holds the only bit loop
     counts = {p.name: p.read_text().count("bit_length() - 1") for p in SOURCES}
-    assert sum(counts.values()) == 2, counts
-    assert counts["lattice.py"] == 2
+    assert sum(counts.values()) == 1, counts
+    assert counts["lattice.py"] == 1
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -46,7 +46,9 @@ def test_one_backtracker_in_membership():
                                   "_split_pairs", '"plain"', '"split"',
                                   "structural_predicates", "StructuralFlags",
                                   "_meet_pairs", "_covered", "variety_position",
-                                  "VarietyPosition", "_separating_hom", "_co_chain"])
+                                  "VarietyPosition", "_separating_hom", "_co_chain",
+                                  "_extreme_of", "label_of", "def blocks", "is_zero",
+                                  "is_all"])
 def test_merged_map_builders_gone(name):
     # replaced by _ji_extension and catalog._catalog_target; the chain
     # search's bipartition guess and leaf re-check by its exact prunes,
@@ -56,7 +58,9 @@ def test_merged_map_builders_gone(name):
     # are checks of identities; the Lambda relations are read off the
     # generator masks, and the variety position was a wrapper of
     # decide_sub_n and embedding_search; the oracle's homomorphism search
-    # into Co(|J(L)|) by embedding_search from the SI quotients
+    # into Co(|J(L)|) by embedding_search from the SI quotients; the table
+    # builders' extreme search by _keyed, and the test-only label_of,
+    # blocks, is_zero and is_all by labels[i] and block_of
     assert not [p.name for p in SOURCES if name in p.read_text()]
 
 

@@ -679,7 +679,7 @@ def test_deeply_nested_identity_is_checked():
     L = co_chain(3)
     result = check(L, ident)
     assert not result.holds
-    assert {v: L.label_of(e) for v, e in result.witness.items()} == {"x": "{}", "y": "{0}"}
+    assert {v: L.labels[e] for v, e in result.witness.items()} == {"x": "{}", "y": "{0}"}
 
 
 def test_identity_of_5000_levels():
@@ -693,7 +693,7 @@ def test_identity_of_5000_levels():
     ident = identity_from_json(obj)
     L = co_chain(3)
     result = check(L, ident)
-    assert {v: L.label_of(e) for v, e in result.witness.items()} == {"x": "{}", "y": "{0}"}
+    assert {v: L.labels[e] for v, e in result.witness.items()} == {"x": "{}", "y": "{0}"}
     assert identity_to_json(ident) == obj
     again = identity_from_json(identity_to_json(ident))
     assert again == ident and hash(again) == hash(ident)
