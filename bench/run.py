@@ -30,8 +30,9 @@ records the maps found per target (713, 36, 306, 8 and 1).  Two
 rows time ``lattices_of_size`` at sizes 8 and 9 and record the lattice
 counts.  Two rows time the table builds of the 484-element
 ``direct_product(co_chain(6), co_chain(6))`` and the 79-element
-``Poset.chain(12).co_lattice()`` and record their sizes.  A last row times the exhaustive ``search_pq(limit=None)`` and
-lists |Co(Q)| of the pairs it finds.  OUT.json records the machine
+``Poset.chain(12).co_lattice()`` and record their sizes.  A last row
+times the exhaustive ``search_pq(limit=None)`` and lists |Co(Q)| of the
+pairs it finds.  OUT.json records the machine
 (nproc, CPU model, Python and numpy versions) and every timing.
 """
 

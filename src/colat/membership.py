@@ -225,7 +225,7 @@ def certificate_from_json(L: FinLattice, data: list[dict]) -> EmbeddingCertifica
     Raises ValueError("malformed certificate: ...") when data has another
     shape or names an element that L lacks.
     """
-    index = {L.labels[i]: i for i in range(L.n)}
+    index = {label: i for i, label in enumerate(L.labels)}
 
     def bad(why: str) -> ValueError:
         return ValueError(f"malformed certificate: {why}")
