@@ -11,6 +11,10 @@ on Co(6), the 22 convex subsets of a 6-element chain, which hold; (*),
 E and HS on the 45-element Co(Q) and P, (*), E and HS on the 31-element
 Co(P), which fail and stop at their least witnesses; and D2DUAL on
 M_40, where the demand search gives up and the sweep decides.  Three
+rows, check(E)@Co(10), check(HS)@Co(10) and check(P)@Co(12), run
+``check`` at its default budget on Co(2k) for a k-variable identity,
+which holds there iff it holds in all of SUB(LO); all three hold, and
+the demand search alone proves them.  Three
 rows run ``check`` of E, P and HS on each of the 1,078 lattices of size
 9, the corpus of the paper's claims at n = 9, and record how many hold
 (1030, 467 and 185).  Three rows run ``decide_identity`` of E, P and HS,
@@ -113,6 +117,13 @@ def main() -> int:
         rows.append({"case": name, "n": L.n, "vars": len(ident.variables),
                      "holds": result.holds, **times})
         print(f"{name:12s} n={L.n:2d} holds={result.holds!s:5s} median={times['median_s']:7.3f} s")
+    for name, k in (("E", 10), ("HS", 10), ("P", 12)):
+        L, ident = catalog.co_chain(k), terms.builtin(name)
+        result, times = timed(lambda: terms.check(L, ident))
+        rows.append({"case": f"check({name})@Co({k})", "n": L.n, "vars": len(ident.variables),
+                     "holds": result.holds, **times})
+        print(f"{rows[-1]['case']:24s} n={L.n:2d} holds={result.holds!s:5s} "
+              f"median={times['median_s']:7.3f} s")
     size9 = lattice.lattices_of_size(9)
     for name in ("E", "P", "HS"):
         ident = terms.builtin(name)

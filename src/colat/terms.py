@@ -213,8 +213,8 @@ class Identity:
 
     # check's derived data, kept on the identity so that a later call costs
     # one attribute read: the runs of _symmetric_runs, the node list of both
-    # terms with their roots and the inclusions to test, and _compile's by
-    # prefix length
+    # terms with their roots and the inclusions to test, _compile's by prefix
+    # length, and _demand_kernel's, generated code that pickling leaves out
     @cached_property
     def _run_ends(self) -> tuple[int, ...]:
         return _symmetric_runs(self)
@@ -233,6 +233,11 @@ class Identity:
     @cached_property
     def _compiled(self) -> dict:
         return {}
+
+    _kernel = cached_property(lambda self: _demand_kernel(self._sides[0][0]))
+
+    def __getstate__(self):
+        return {key: got for key, got in self.__dict__.items() if key != "_kernel"}
 
 
 def identity_to_json(ident: Identity) -> dict:
@@ -724,6 +729,27 @@ def _free_leq(nodes, s: int, t: int, memo: dict) -> bool:
             return got
 
 
+def _demand_kernel(nodes):
+    """_Demand's node update, generated for one node list: bind(join, meet)
+    gives update(v, d), which recomputes in place, children first, the value
+    in v of each operation node (two or more children) that reads a variable in d.
+    One lookup per statement, as nested ones overflow the parser on wide
+    nodes.  The source holds only integers and fixed names: the masks, at
+    times too long to print, are read from S."""
+    lines = ["def bind(join, meet, S=S):", " def update(v, d):", "  pass"]
+    for k, (kind, kids, _, _) in enumerate(nodes):
+        if kind != "var":
+            acc = f"{kind}[v[{kids[0]}]][v[{kids[1]}]]"
+            lines.append(f"  if d & S[{k}]:")
+            for c in kids[2:]:
+                lines.append(f"   a = {acc}")
+                acc = f"{kind}[a][v[{c}]]"
+            lines.append(f"   v[{k}] = {acc}")
+    scope = {"S": tuple(node[3] for node in nodes)}
+    exec("\n".join(lines + [" return update"]), scope)
+    return scope["bind"]
+
+
 class _Demand:
     """The demand search over J(L), for one lattice and one node list.
 
@@ -750,36 +776,19 @@ class _Demand:
     each goal's width and its branches, a template of (goals, bars)
     pairs, are built once per search; the template only once the budget
     has paid for it, since a goal can have thousands of branches (an
-    atom of M_40).  Update plans list (node, table, first child, second
-    child, other children), so a binary node costs one table lookup.
-    Neither changes the states, the order they are pushed in or what the
-    budget is charged.
+    atom of M_40).  The node update is the identity's _demand_kernel, bound
+    here to L's tables.  Neither changes the states, the order they are
+    pushed in or what the budget is charged.
     """
 
-    def __init__(self, L: FinLattice, nodes, budget):
-        self.L, self.nodes, self.budget = L, nodes, budget
-        tables = {"join": L.join_table, "meet": L.meet_table}
-        self.ops = [(k, tables[kind], kids, support)
-                    for k, (kind, kids, _, support) in enumerate(nodes) if kind != "var"]
-        self.var_nodes = [k for k, node in enumerate(nodes) if node[0] == "var"]
-        self.plans: dict[int, list] = {}
+    def __init__(self, L: FinLattice, ident: Identity, budget):
+        self.L, self.nodes, self.budget = L, ident._sides[0][0], budget
+        self.update = ident._kernel(L.join_table, L.meet_table)
+        self.var_values = operator.itemgetter(*[k for k, node in enumerate(self.nodes)
+                                                if node[0] == "var"])
         self.widths: dict[tuple, int] = {}
         self.templates: dict[tuple, list] = {}
         self.covers: dict[int, list] = {}
-
-    def update(self, values: list, dirty: int) -> None:
-        """Recompute, in place, the operation nodes that read a variable in dirty."""
-        plan = self.plans.get(dirty)
-        if plan is None:
-            # an operation has at least two children
-            plan = self.plans[dirty] = [(k, table, kids[0], kids[1], kids[2:])
-                                        for k, table, kids, support in self.ops
-                                        if support & dirty]
-        for k, table, k0, k1, more in plan:
-            acc = table[values[k0]][values[k1]]
-            for c in more:
-                acc = table[acc][values[c]]
-            values[k] = acc
 
     def width(self, goal: tuple) -> int:
         """How many branches the open join goal (k, a) makes: the length
@@ -820,10 +829,10 @@ class _Demand:
         a state whose goals would raise one is pruned: on the branch below
         a failing x every goal on them is already met, so it stays exact.
         """
-        up, jt, nodes = self.L.up, self.L.join_table, self.nodes
+        up, jt, nodes, update = self.L.up, self.L.join_table, self.nodes, self.update
         fixed = (1 << len(prefix)) - 1
         base = [prefix[vi] if 0 <= vi < len(prefix) else self.L.bottom for _, _, vi, _ in nodes]
-        self.update(base, -1)
+        update(base, -1)
         for j in self.L.join_irreducibles:
             if up[j] >> base[q] & 1:
                 continue                  # j <= q(base) <= q(x) for every x
@@ -846,19 +855,21 @@ class _Demand:
                             values = values[:]
                         dirty |= 1 << vi
                         values[k] = jt[values[k]][a]
-                if dirty & fixed:
-                    continue              # a goal would raise a fixed variable
-                if dirty:
+                if dirty and not dirty & fixed:
                     # a branch's new bars hold at its parent's values, so
                     # only a state that raised a variable can break one
-                    self.update(values, dirty)
-                    if any(up[a] >> values[k] & 1 for k, a in bars):
-                        continue
+                    update(values, dirty)
+                    for k, a in bars:
+                        if up[a] >> values[k] & 1:
+                            break
+                    else:
+                        dirty = 0
+                if dirty:
+                    continue              # it raised a fixed variable or broke a bar
                 joins = [(k, a) for k, a in joins if not up[a] >> values[k] & 1]
                 if not joins:
                     return True
-                key = (tuple(values[k] for k in self.var_nodes),
-                       frozenset(joins), frozenset(bars))
+                key = (self.var_values(values), frozenset(joins), frozenset(bars))
                 if key in seen:
                     continue
                 seen.add(key)
@@ -887,11 +898,10 @@ def _locate(L: FinLattice, ident: Identity, budget,
     start + (0, ...) fails.  Each inclusion that Whitman's algorithm
     proves for every lattice is skipped (rhs <= lhs for E, P, HS, D2DUAL).
     """
-    (nodes, *_), sides = ident._sides
-    search = _Demand(L, nodes, budget)
+    search = _Demand(L, ident, budget)
 
     def refutes(prefix):
-        for p, q in sides:
+        for p, q in ident._sides[1]:
             got = search.refutes(p, q, prefix)
             if got is not False:
                 return got

@@ -87,6 +87,21 @@ def naive_check(L: FinLattice, ident: Identity) -> CheckResult:
     return CheckResult(ident.name, True, None, total)
 
 
+def demand_update(L: FinLattice, nodes, values: list, dirty: int) -> None:
+    """The demand search's node update as a plain loop: recompute, in place
+    and children first, each operation node of a terms._term_nodes list that
+    reads a variable in dirty, folding its children left to right."""
+    tables = {"join": L.join_table, "meet": L.meet_table}
+    plan = [(k, tables[kind], kids[0], kids[1], kids[2:])
+            for k, (kind, kids, _, support) in enumerate(nodes)
+            if kind != "var" and support & dirty]
+    for k, table, k0, k1, more in plan:
+        acc = table[values[k0]][values[k1]]
+        for c in more:
+            acc = table[acc][values[c]]
+        values[k] = acc
+
+
 DISTRIBUTIVE = Identity("distributive", ("x", "y", "z"), "eq",
                         parse_term("(^ x (v y z))"), parse_term("(v (^ x y) (^ x z))"))
 

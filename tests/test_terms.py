@@ -11,13 +11,14 @@ import hashlib
 import itertools
 import json
 import math
+import pickle
 import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import distributive, naive_check
+from oracles import demand_update, distributive, naive_check
 
 from colat.lattice import (
     FinLattice,
@@ -663,6 +664,76 @@ def test_term_nodes_and_runs_pinned():
     text = repr([(ident._run_ends, terms._term_nodes(ident.variables, ident.lhs, ident.rhs))
                  for ident in idents])
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_NODES
+
+
+def assert_kernel_is_loop(L, ident, masks, rng):
+    """The identity's generated node update gives the values of the plain
+    loop oracles.demand_update on L for each dirty mask, each from random
+    values at every node."""
+    nodes = ident._sides[0][0]
+    update = ident._kernel(L.join_table, L.meet_table)
+    for dirty in masks:
+        got = [rng.randrange(L.n) for _ in nodes]
+        want = got[:]
+        update(got, dirty)
+        demand_update(L, nodes, want, dirty)
+        assert got == want, (ident, L.up, dirty)
+
+
+def test_demand_kernel_matches_reference_update():
+    # every dirty mask, for the identities of the node-list pin
+    rng, values = random.Random(22), random.Random(27)
+    idents = [builtin(name) for name in builtin_names()]
+    idents += [random_identity(rng) for _ in range(500)]
+    lattices = [co_chain(4), pentagon(), *lattices_of_size(5)]
+    for ident in idents:
+        for L in lattices:
+            assert_kernel_is_loop(L, ident, range(-1, 1 << len(ident.variables)), values)
+
+
+def test_demand_search_on_edge_identities():
+    # the demand search on Co(3), where its generated update meets 5,000
+    # levels of joins and meets, a meet and a join of 3,000 variables each
+    # (Whitman's algorithm proves that inclusion, so the update runs only
+    # below), a long support mask, and variable names that are Python
+    # syntax or the update's own names, which its source never holds
+    L = co_chain(3)
+    lhs = rhs = "x"
+    for _ in range(5000):
+        lhs, rhs = f"(v {lhs} y)", f"(^ {rhs} y)"
+    deep = identity_from_json({"vars": ["x", "y"], "relation": "eq", "lhs": lhs, "rhs": rhs})
+    names = [f"x{i}" for i in range(3000)]
+    wide = identity_from_json({"vars": names, "relation": "leq",
+                               "lhs": f"(^ {' '.join(names)})", "rhs": f"(v {' '.join(names)})"})
+    # a variable declared 15,000th reads a support mask of 4,516 digits,
+    # past the 4,300 that int to str allows
+    far = Identity("far", tuple(f"u{i}" for i in range(15000)), "leq",
+                   join(var("u0"), var("u14999")), var("u14999"))
+    x, y, z = var("v[0]"), var("J"), var("__import__")
+    odd = [Identity("odd", ("v[0]", "J", "__import__"), "eq", meet(x, join(y, z)),
+                    join(meet(x, y), meet(x, z))),
+           Identity("odd", ("S", "join", "meet", "d"), "leq",
+                    meet(var("S"), join(var("join"), var("meet"))),
+                    join(var("d"), meet(var("S"), var("meet"))))]
+    assert [decide_identity(L, ident) for ident in (deep, wide, far)] == [False, True, False]
+    assert [decide_identity(L, ident) for ident in odd] == \
+        [naive_check(L, ident).holds for ident in odd] == [False, False]
+    rng = random.Random(3)
+    for ident in [deep, wide, far, *odd]:
+        assert_kernel_is_loop(L, ident, (-1, 1, 2, 1 << 14999), rng)
+
+
+def test_identity_pickles_after_a_demand_search():
+    # the generated update is cached on the identity but left out of its
+    # pickled state, and the copy builds its own
+    L = co_chain(3)
+    for name in builtin_names():
+        ident = builtin(name)
+        decide_identity(L, ident)
+        assert "_kernel" in vars(ident)
+        again = pickle.loads(pickle.dumps(ident))
+        assert again == ident and "_kernel" not in vars(again)
+        assert decide_identity(L, again) == decide_identity(L, ident)
 
 
 def test_deeply_nested_identity_is_checked():
