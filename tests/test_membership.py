@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -339,6 +340,45 @@ def test_certificate_wrong_chain_members_fails(pentagon):
     assert not verify_certificate(
         pentagon, EmbeddingCertificate(bad, cert.maps)
     )
+
+
+def test_certificate_missing_map_fails():
+    # zip would drop the witness without a map, so the counts are compared first
+    L = co_chain(4)
+    cert = decide_sub_lo(L).certificate
+    assert not verify_certificate(L, EmbeddingCertificate(cert.witnesses, cert.maps[:-1]))
+
+
+def test_certificate_repeated_chain_entry_fails(pentagon):
+    # a chain that repeats a member is no order of its anchor's dependency set,
+    # even with every map recomputed from it
+    cert = decide_sub_lo(pentagon).certificate
+    w = next(w for w in cert.witnesses if len(w.chain) >= 2)
+    long = ChainOrderWitness(w.anchor, w.chain + w.chain[:1])
+    witnesses = tuple(long if v == w else v for v in cert.witnesses)
+    maps = tuple(induced_map(pentagon, v.chain) for v in witnesses)
+    assert not verify_certificate(pentagon, EmbeddingCertificate(witnesses, maps))
+
+
+# sha256 of the compact JSON list of verify_certificate verdicts on 6 certificates
+# per lattice of size <= 8, each chain a seeded random order of its anchor's
+# dependency set and each map recomputed by induced_map
+RANDOM_ORDER_VERDICTS = "eb76ea79ca440b7649255b63e3eef16c85943eb54a4d0edfb80c7e66f7ed490e"
+
+
+def test_random_order_certificates_pinned():
+    rng = random.Random(28)
+    verdicts = []
+    for L in iter_lattices(8):
+        closures = [dependency_closure(L, a) for a in L.join_irreducibles]
+        for _ in range(6):
+            witnesses = tuple(ChainOrderWitness(a, tuple(rng.sample(ja, len(ja))))
+                              for a, ja in zip(L.join_irreducibles, closures))
+            maps = tuple(induced_map(L, w.chain) for w in witnesses)
+            verdicts.append(verify_certificate(L, EmbeddingCertificate(witnesses, maps)))
+    assert (len(verdicts), verdicts.count(False)) == (1800, 1507)
+    sha = hashlib.sha256(json.dumps(verdicts, separators=(",", ":")).encode()).hexdigest()
+    assert sha == RANDOM_ORDER_VERDICTS
 
 
 # -- brute-force oracle -----------------------------------------------------
