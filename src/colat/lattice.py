@@ -500,10 +500,9 @@ def isomorphisms(K: FinLattice, L: FinLattice):
     """Iterate all order isomorphisms from K onto L, lexicographic in the images.
 
     Backtracks element by element over images with the same counts of
-    elements below and above and of lower and upper covers.
+    elements below and above and of lower and upper covers, which also
+    turns away lattices of different sizes.
     """
-    if K.n != L.n:
-        return
 
     def profile(M: FinLattice, i: int) -> tuple:
         return (bin(M.down[i]).count("1"), bin(M.up[i]).count("1"),
@@ -557,40 +556,34 @@ def _is_least(down: list[int]) -> bool:
     return not smaller_from(1, 1)
 
 
-def _lattice_extensions(down: list[int], up: list[int], n_target: int, out: list):
+def _lattice_extensions(down: list[int], n_target: int, out: list):
     """Append to out, in lexicographic order, the down-set lists of the
     lattices on n_target elements that extend down and are least by _is_least.
 
-    Each step adds a new maximal element n above a down-closed mask, trying
-    masks in ascending order, so the leaves come in lexicographic order of
-    their down-set lists.  A prefix of a least list is least for its own
-    order, so a prefix that is not least is pruned at once.
+    Each step adds a new maximal element n above a mask, trying masks in
+    ascending order, so the leaves come in lexicographic order of their
+    down-set lists.  A prefix of a least list is least for its own order,
+    so a prefix that is not least is pruned at once.  mask is tested only
+    for frozen meets: each down[i] & mask must be some down[g].  That
+    decides the rest.  For j in mask, g = j, so mask is down-closed.  Two
+    members i, j of mask with an upper bound have a least one l (earlier
+    steps kept it); as i, j lie in down[l] & mask = down[g], g = l, so l
+    stays below n and the pair gets no second minimal upper bound.
     """
     n = len(down)
     if n == n_target:
         out.append(tuple(down))
         return
-    least, greatest = _keyed(up), _keyed(down)
+    greatest = _keyed(down)
     # the last element is the top, above everything; the others sit above
-    # a down-closed set containing the bottom element 0
+    # a mask containing the bottom element 0
     masks = range(1, 1 << n, 2) if n + 1 < n_target else [(1 << n) - 1]
     for mask in masks:
-        if any(down[j] & ~mask for j in bits(mask)):
-            continue
-        # meets are frozen now: every pair (i, new) needs a greatest lower bound
         if any((down[i] & mask) not in greatest for i in range(n)):
-            continue
-        # two members of mask with an upper bound already have a least one,
-        # since earlier steps kept it; it must stay below the new element, or
-        # the pair gets a second minimal upper bound
-        members = list(bits(mask))
-        if any(not (mask >> least[up[i] & up[j]]) & 1
-               for a, i in enumerate(members) for j in members[a + 1:] if up[i] & up[j]):
             continue
         down2 = down + [mask | 1 << n]
         if _is_least(down2):
-            up2 = [u | 1 << n if (mask >> i) & 1 else u for i, u in enumerate(up)]
-            _lattice_extensions(down2, up2 + [1 << n], n_target, out)
+            _lattice_extensions(down2, n_target, out)
 
 
 def lattices_of_size(n: int) -> list[FinLattice]:
@@ -604,7 +597,7 @@ def lattices_of_size(n: int) -> list[FinLattice]:
     if n < 1:
         return []
     downs: list[tuple[int, ...]] = []
-    _lattice_extensions([1], [1], n, downs)
+    _lattice_extensions([1], n, downs)
     return [FinLattice(tuple(_transpose(down)), validate=False) for down in downs]
 
 

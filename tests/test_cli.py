@@ -95,6 +95,10 @@ class TestCoAndCatalog:
         assert rc == 2
         assert "one parameter" in err
 
+    def test_catalog_lmn_param_count(self, capsys):
+        rc, out, err = run(capsys, "catalog", "lmn", "1")
+        assert (rc, out, err) == (2, "", "error: catalog lmn takes two parameters\n")
+
     def test_catalog_pipe_to_classify(self, capsys, monkeypatch):
         rc, out, _ = run(capsys, "catalog", "lmn", "1", "2")
         assert rc == 0

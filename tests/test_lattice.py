@@ -76,6 +76,11 @@ def test_rejects_non_lattice_order():
         FinLattice((0b111, 0b010, 0b100))
 
 
+def test_label_count_checked():
+    with pytest.raises(LatticeError, match="label count does not match element count"):
+        FinLattice((0b11, 0b10), labels=("0", "1", "2"))
+
+
 def test_rejects_bowtie():
     # two incomparable elements with two minimal common upper bounds
     with pytest.raises(LatticeError):

@@ -222,6 +222,21 @@ def test_reflexivity_checked_without_validation(build, error):
         build((0b01, 0b00), validate=False)
 
 
+@pytest.mark.parametrize("labels,message", [
+    (("a",), "label count does not match element count"),
+    (("a", "a"), "labels must be distinct"),
+])
+def test_poset_labels_checked(labels, message):
+    with pytest.raises(PosetError, match=message):
+        Poset(labels, (0b11, 0b10))
+
+
+def test_convex_sets_guarded_at_seventeen_elements():
+    # checked before any of the 2**17 masks is tried
+    with pytest.raises(PosetError, match="convex-set enumeration limited to 16 elements"):
+        Poset.chain(17).convex_sets()
+
+
 def test_cover_pairs_match_upper_covers():
     for L in iter_lattices(6):
         P = Poset(L.labels, L.up)

@@ -111,6 +111,10 @@ class TestLambdaHolds:
         g = by_label(L, "{0}")
         assert lambda_holds(L, plain_config(L, [g] * 17))
 
+    def test_no_generators_rejected(self):
+        with pytest.raises(ValueError, match="at least one generator is required"):
+            plain_config(co_chain(2), [])
+
     def test_single_generator_needs_base(self):
         L = co_chain(2)
         with pytest.raises(ValueError):
@@ -257,6 +261,12 @@ class TestRetractSection:
         pi = LatticeMap(T, T, (T.bottom,) * T.n)
         with pytest.raises(LatticeError):
             retract_section(T, pi, ("co_chain", 3))
+
+    def test_pi_out_of_another_lattice(self):
+        T = co_chain(3)
+        pi = LatticeMap(T, T, tuple(range(T.n)))
+        with pytest.raises(LatticeError, match="pi is not a map out of the given lattice"):
+            retract_section(direct_product(T, co_chain(1)), pi, ("co_chain", 3))
 
     def test_wrong_target(self):
         T = co_chain(3)

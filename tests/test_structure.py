@@ -48,7 +48,7 @@ def test_one_backtracker_in_membership():
                                   "_meet_pairs", "_covered", "variety_position",
                                   "VarietyPosition", "_separating_hom", "_co_chain",
                                   "_extreme_of", "label_of", "def blocks", "is_zero",
-                                  "is_all"])
+                                  "is_all", "def component", "least[up"])
 def test_merged_map_builders_gone(name):
     # replaced by _ji_extension and catalog._catalog_target; the chain
     # search's bipartition guess and leaf re-check by its exact prunes,
@@ -60,7 +60,9 @@ def test_merged_map_builders_gone(name):
     # decide_sub_n and embedding_search; the oracle's homomorphism search
     # into Co(|J(L)|) by embedding_search from the SI quotients; the table
     # builders' extreme search by _keyed, and the test-only label_of,
-    # blocks, is_zero and is_all by labels[i] and block_of
+    # blocks, is_zero and is_all by labels[i] and block_of; the verifier's
+    # injectivity test (component) and the enumerator's join test
+    # (least[up...]) are decided by the checks beside them
     assert not [p.name for p in SOURCES if name in p.read_text()]
 
 

@@ -153,6 +153,16 @@ def test_identity_validation():
         Term("join", (var("x"),))
 
 
+@pytest.mark.parametrize("kind,children,name,message", [
+    ("var", (), "", "variable nodes carry a name and no children"),
+    ("var", (Term("var", name="y"),), "x", "variable nodes carry a name and no children"),
+    ("plus", (Term("var", name="x"), Term("var", name="y")), "", "unknown node kind 'plus'"),
+])
+def test_term_node_validation(kind, children, name, message):
+    with pytest.raises(TermError, match=message):
+        Term(kind, children, name)
+
+
 def test_placeholder_rejected():
     obj = {"name": "U", "vars": [], "relation": "eq", "lhs": None, "rhs": None}
     with pytest.raises(TermError) as err:
@@ -483,6 +493,27 @@ def test_sweep_encoding_boundaries(monkeypatch):
         for workers in (1, 2):
             got = check(lattices[-1], ident, workers=workers)
             assert got == refs[19, ident.name], (ident.name, workers)
+
+
+def test_locate_infers_the_last_value(monkeypatch):
+    # with one-cell chunks _locate walks both variables of x <= y on the
+    # 2-element chain: x = 0 is proved clean, so the failing slab is x = 1,
+    # taken without searching (1,), and y = 0 is then searched and refuted
+    L = chain_lattice(2)
+    below = Identity("below", ("x", "y"), "leq", var("x"), var("y"))
+    asked = []
+    refutes = terms._Demand.refutes
+
+    def spy(self, p, q, prefix):
+        asked.append((prefix, refutes(self, p, q, prefix)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(terms._Demand, "refutes", spy)
+    monkeypatch.setattr(terms, "CHUNK_CELLS", 1)
+    got = check(L, below)
+    assert asked == [((), True), ((0,), False), ((1, 0), True)]
+    assert got == naive_check(L, below)
+    assert got.witness == {"x": 1, "y": 0}
 
 
 def builtins_and_inclusions():
