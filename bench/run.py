@@ -30,9 +30,11 @@ those 179: one
 runs ``congruence_lattice`` on each and records the congruence count
 (6,190), the other runs ``surjection_search`` from each onto Co(1), Co(3),
 L(1,1), L(1,2) and L(2,1), the SI targets of the paper's claim (3), and
-records the maps found per target (713, 36, 306, 8 and 1).  Two
-rows time ``lattices_of_size`` at sizes 8 and 9 and record the lattice
-counts.  Two rows time the table builds of the 484-element
+records the maps found per target (713, 36, 306, 8 and 1).  One row
+runs ``verify_certificate`` on the 179 certificates of those members and
+records how many verify (179).  Three rows time ``lattices_of_size`` at
+sizes 8, 9 and 10 and record the lattice counts (222, 1,078 and 5,994).
+Two rows time the table builds of the 484-element
 ``direct_product(co_chain(6), co_chain(6))`` and the 79-element
 ``Poset.chain(12).co_lattice()`` and record their sizes.  A last row
 times the exhaustive ``search_pq(limit=None)`` and lists |Co(Q)| of the
@@ -153,7 +155,8 @@ def main() -> int:
         rows.append({"case": f"decide_sub_lo@{name}", "n": L.n, "accepted": result.accepted,
                      "longest": max(result.certificate.chain_sizes), **times})
         print(f"{rows[-1]['case']:24s} longest={rows[-1]['longest']:2d} median={times['median_s']:7.3f} s")
-    members9 = [L for L in size9 if membership.decide_sub_lo(L).accepted]
+    certs9 = [(L, r.certificate) for L in size9 if (r := membership.decide_sub_lo(L)).accepted]
+    members9 = [L for L, _ in certs9]
     count, times = timed(lambda: sum(len(lattice.congruence_lattice(L)) for L in members9))
     rows.append({"case": "congruence_lattice@members(9)", "lattices": len(members9),
                  "congruences": count, **times})
@@ -165,7 +168,12 @@ def main() -> int:
     rows.append({"case": "surjection_search@members(9)", "lattices": len(members9),
                  "surjections": split, **times})
     print(f"{rows[-1]['case']:24s} surjections={split} median={times['median_s']:7.3f} s")
-    for n in (8, 9):
+    verified, times = timed(lambda: sum(membership.verify_certificate(L, cert)
+                                        for L, cert in certs9))
+    rows.append({"case": "verify_certificate@members(9)", "certificates": len(certs9),
+                 "verified": verified, **times})
+    print(f"{rows[-1]['case']:24s} verified={verified:4d} median={times['median_s']:7.3f} s")
+    for n in (8, 9, 10):
         found, times = timed(lambda: lattice.lattices_of_size(n))
         rows.append({"case": f"lattices_of_size({n})", "lattices": len(found), **times})
         print(f"{rows[-1]['case']:20s} lattices={len(found):5d} median={times['median_s']:7.3f} s")
