@@ -5,7 +5,11 @@ enumeration and search_pq.
 
 Run it from the repository root; it imports colat from ./src and needs
 nothing else outside the standard library.  Each row runs its call
-REPEAT times and records every time and the median.  The identity rows
+REPEAT times and records every time and the median.  Two start-up rows
+come first, each over STARTS fresh interpreters, alternating: the
+seconds that ``import colat`` takes inside the interpreter, with whether
+numpy was loaded after it, and the wall seconds of ``python -m
+colat.cli co 4``.  The identity rows
 run ``check`` with one worker and record the verdict: E, P, HS and (*)
 on Co(6), the 22 convex subsets of a 6-element chain, which hold; (*),
 E and HS on the 45-element Co(Q) and P, (*), E and HS on the 31-element
@@ -14,7 +18,9 @@ M_40, where the demand search gives up and the sweep decides.  Three
 rows, check(E)@Co(10), check(HS)@Co(10) and check(P)@Co(12), run
 ``check`` at its default budget on Co(2k) for a k-variable identity,
 which holds there iff it holds in all of SUB(LO); all three hold, and
-the demand search alone proves them.  Three
+the demand search alone proves them.  One row runs ``decide_identity``
+of the inclusion (v x0 ... x2999) <= (^ x0 ... x2999), which fails, on
+Co(3): its 3,000-child join goal has 3,000 one-child branches.  Three
 rows run ``check`` of E, P and HS on each of the 1,078 lattices of size
 9, the corpus of the paper's claims at n = 9, and record how many hold
 (1030, 467 and 185).  Three rows run ``decide_identity`` of E, P and HS,
@@ -47,6 +53,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -57,6 +64,15 @@ sys.path.insert(0, str(ROOT / "src"))
 from colat import catalog, lattice, membership, poset, star, terms  # noqa: E402
 
 REPEAT = 3
+STARTS = 11
+
+# run in a fresh interpreter: the seconds that import colat takes there, and
+# whether numpy came with it
+IMPORT_PROBE = """import sys, time
+start = time.perf_counter()
+import colat
+print(time.perf_counter() - start, "numpy" in sys.modules)
+"""
 
 # Q is the seven-point poset of the (*) construction with the free relations
 # 0<a, b<3, a<b and c<b added, as in the benchmark's sweep workload; P is Q
@@ -97,6 +113,11 @@ def cases():
     yield "D2DUAL@M_40", m40, terms.builtin("D2DUAL")
 
 
+def spread(seconds) -> dict:
+    return {"seconds": [round(s, 4) for s in seconds],
+            "median_s": round(statistics.median(seconds), 4)}
+
+
 def timed(call):
     """The last result of call() over REPEAT runs, its times and their median."""
     seconds = []
@@ -104,8 +125,25 @@ def timed(call):
         start = time.perf_counter()
         result = call()
         seconds.append(time.perf_counter() - start)
-    median = statistics.median(seconds)
-    return result, {"seconds": [round(s, 4) for s in seconds], "median_s": round(median, 4)}
+    return result, spread(seconds)
+
+
+def start_up() -> list[dict]:
+    """The two start-up rows, over STARTS fresh interpreters each."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    imports, walls = [], []
+    for _ in range(STARTS):
+        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=ROOT, env=env,
+                             capture_output=True, text=True, check=True).stdout.split()
+        imports.append(float(out[0]))
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "colat.cli", "co", "4"], cwd=ROOT, env=env,
+                       capture_output=True, check=True)
+        walls.append(time.perf_counter() - start)
+    return [{"case": "import colat", "interpreters": STARTS, "numpy_loaded": out[1] == "True",
+             **spread(imports)},
+            {"case": "python -m colat.cli co 4", "interpreters": STARTS, **spread(walls)}]
 
 
 def main() -> int:
@@ -113,7 +151,9 @@ def main() -> int:
         print("usage: python3 bench/run.py OUT.json", file=sys.stderr)
         return 2
     out = Path(sys.argv[1])
-    rows = []
+    rows = start_up()
+    for row in rows:
+        print(f"{row['case']:24s} median={row['median_s']:7.3f} s")
     for name, L, ident in cases():
         result, times = timed(lambda: terms.check(L, ident, force=True))
         rows.append({"case": name, "n": L.n, "vars": len(ident.variables),
@@ -126,6 +166,12 @@ def main() -> int:
                      "holds": result.holds, **times})
         print(f"{rows[-1]['case']:24s} n={L.n:2d} holds={result.holds!s:5s} "
               f"median={times['median_s']:7.3f} s")
+    xs = [terms.var(f"x{i}") for i in range(3000)]
+    wide = terms.Identity("wide", tuple(f"x{i}" for i in range(3000)), "leq",
+                          terms.join(*xs), terms.meet(*xs))
+    holds, times = timed(lambda: terms.decide_identity(catalog.co_chain(3), wide))
+    rows.append({"case": "decide_identity(wide)@Co(3)", "vars": 3000, "holds": holds, **times})
+    print(f"{rows[-1]['case']:24s} holds={holds!s:5s} median={times['median_s']:7.3f} s")
     size9 = lattice.lattices_of_size(9)
     for name in ("E", "P", "HS"):
         ident = terms.builtin(name)

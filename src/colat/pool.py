@@ -9,7 +9,7 @@ is the same one a serial run finds.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
+import os
 
 
 def _serve(conn, fn, shared) -> None:
@@ -28,22 +28,24 @@ def _serve(conn, fn, shared) -> None:
 def ordered_map(fn, shared, items, workers: int):
     """Yield fn(shared, item) for each item, in item order.
 
-    workers is capped at multiprocessing.cpu_count(): results come in item
-    order at any count, so more workers would only add processes.  With
-    workers <= 1 after the cap the calls run here, one by one.  Otherwise
-    that many forked workers run them; fn and shared reach the workers through
-    the fork rather than by pickling.  Item i goes to worker i % workers
-    over its own pipe, at most two items per worker ahead of the result
-    awaited.  Closing the generator early, as a caller that stops at its
-    first hit does, terminates the workers.  No lock or queue is shared,
-    so a worker terminated mid-send cannot leave one held, as it can
-    under multiprocessing.Pool.terminate.
+    workers is capped at os.cpu_count() (1 when unknown): results come in
+    item order at any count, so more workers would only add processes.
+    With workers <= 1 after the cap the calls run here, one by one, and
+    multiprocessing is not imported.  Otherwise that many forked workers
+    run them; fn and shared reach the workers through the fork rather than
+    by pickling.  Item i goes to worker i % workers over its own pipe, at
+    most two items per worker ahead of the result awaited.  Closing the
+    generator early, as a caller that stops at its first hit does,
+    terminates the workers.  No lock or queue is shared, so a worker
+    terminated mid-send cannot leave one held, as it can under
+    multiprocessing.Pool.terminate.
     """
-    workers = min(workers, multiprocessing.cpu_count())
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         for item in items:
             yield fn(shared, item)
         return
+    import multiprocessing
     ctx = multiprocessing.get_context("fork")
     pipes, procs = [], []
     try:

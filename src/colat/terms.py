@@ -7,7 +7,8 @@ to variables.  The sweep is chunked over a prefix of the declared
 variable order, so the first reported counter-assignment is always the
 lexicographically least one regardless of worker count.
 
-Within a chunk the inner variables lie on broadcast numpy axes.  An
+Within a chunk the inner variables lie on broadcast numpy axes; numpy
+is imported by the first sweep, so the rest of colat runs without it.  An
 axis is one variable, or one run of symmetric variables (see
 _symmetric_runs): a permutation of a run maps a failing assignment to a
 failing one, so the least witness has each run's values non-decreasing,
@@ -51,11 +52,10 @@ import itertools
 import math
 import operator
 import re
+import weakref
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-
-import numpy as np
 
 from .depend import is_minimal_in, is_minimal_pair_cover, min_covers, minimal_pairs
 from .lattice import FinLattice
@@ -511,8 +511,9 @@ def _compile(ident: Identity, n_prefix: int):
 
 
 @lru_cache(maxsize=64)
-def _combinations(n: int, k: int) -> np.ndarray:
+def _combinations(n: int, k: int):
     """The non-decreasing k-tuples over range(n) in lexicographic order, one per row."""
+    import numpy as np
     rows = list(itertools.combinations_with_replacement(range(n), k))
     table = np.array(rows, dtype=np.min_scalar_type(n - 1)).reshape(len(rows), k)
     table.flags.writeable = False
@@ -574,6 +575,7 @@ class _Sweep:
         variables' codes at those cells, and the first that really fails
         is reported.
         """
+        import numpy as np
         values, keys = self.values, self.keys
         for k, (kind, vi, kids, keyvars) in enumerate(self.nodes):
             if kind == "var":
@@ -617,6 +619,7 @@ def check(L: FinLattice, ident: Identity, workers: int = 1, force: bool = False)
     visits only the non-decreasing values of each run of symmetric
     variables; assignments still counts all n^v.
     """
+    import numpy as np
     n, v = L.n, len(ident.variables)
     total = n ** v
     c = 0
@@ -667,21 +670,43 @@ def check(L: FinLattice, ident: Identity, workers: int = 1, force: bool = False)
     return CheckResult(ident.name, True, None, total)
 
 
+# each lattice's _encoding, built at its first sweep and dropped with the lattice
+_ENCODINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _encoding(L: FinLattice):
-    """The element codes of a sweep over L and its (combine, finish) pairs:
-    with at most 16 join-irreducibles the masks of L.np_join_closure,
-    otherwise element indices into flat tables at a * n + b.  "raw" is
-    the join without its closure, the join itself for element indices.
+    """The element codes of a sweep over L and its (combine, finish) pairs,
+    built once per lattice.  With at most 16 join-irreducibles bit i of
+    codes[e] is set iff join_irreducibles[i] <= e, and closure[S] is the
+    code of the join of the join-irreducibles in S, so x ^ y is
+    codes[x] & codes[y] and x v y is closure[codes[x] | codes[y]]; closure
+    has 2^|J| entries.  Otherwise the codes are element indices into flat
+    tables at a * n + b.  "raw" is the join without its closure, the join
+    itself for element indices.
     """
-    if len(L.join_irreducibles) <= 16:
-        codes, closure = L.np_join_closure
-        return codes, {"meet": (operator.and_, None), "join": (operator.or_, closure.take),
-                       "raw": (operator.or_, None)}
-    # n <= 256 keeps every table index a * n + b below 2**16
-    n, dtype = L.n, np.uint16 if L.n <= 256 else np.int32
-    ops = {kind: (lambda a, b, flat=flat.astype(dtype): flat.take(a * n + b), None)
-           for kind, flat in zip(("join", "meet"), L.np_tables)}
-    return np.arange(n, dtype=dtype), dict(ops, raw=ops["join"])
+    got = _ENCODINGS.get(L)
+    if got is not None:
+        return got
+    import numpy as np
+    n, jis = L.n, L.join_irreducibles
+    if len(jis) <= 16:
+        codes = np.array([sum(1 << i for i, j in enumerate(jis) if L.up[j] >> e & 1)
+                          for e in range(n)], dtype=np.min_scalar_type((1 << len(jis)) - 1))
+        # elems[S] is the join of the join-irreducibles in S, one bit per step
+        join, elems = np.array(L.join_table, dtype=np.int32).ravel(), np.array([L.bottom])
+        for j in jis:
+            elems = np.concatenate((elems, join[elems * n + j]))
+        got = codes, {"meet": (operator.and_, None), "join": (operator.or_, codes[elems].take),
+                      "raw": (operator.or_, None)}
+    else:
+        # n <= 256 keeps every table index a * n + b below 2**16
+        dtype = np.uint16 if n <= 256 else np.int32
+        ops = {kind: (lambda a, b, flat=np.array(table, dtype=dtype).ravel(): flat.take(a * n + b),
+                      None)
+               for kind, table in (("join", L.join_table), ("meet", L.meet_table))}
+        got = np.arange(n, dtype=dtype), dict(ops, raw=ops["join"])
+    _ENCODINGS[L] = got
+    return got
 
 
 def _prefixes(n: int, c: int, start: tuple = ()):
@@ -808,8 +833,8 @@ class _Demand:
         if got is None:
             k, a = goal
             kids = self.nodes[k][1]
-            got = [([(c, a)], tuple((d, a) for d in kids[:i])) for i, c in enumerate(kids)]
             barred = tuple((d, a) for d in kids)
+            got = [([(c, a)], barred[:i]) for i, c in enumerate(kids)]
             for cover in self.min_covers(a):
                 got.extend((list(zip(spread, cover)), barred)
                            for spread in itertools.product(kids, repeat=len(cover))

@@ -17,6 +17,14 @@ from colat.terms import CheckResult
 from colat.poset import poset_to_json
 
 
+def source_env():
+    """The environment of a fresh interpreter that imports colat from src."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -111,14 +119,40 @@ class TestCoAndCatalog:
     def test_chain_bound_checked_first(self):
         # the bound is checked before the chain is built, which alone takes
         # minutes at this length
-        env = dict(os.environ)
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "colat.cli", "co", "100000"],
-                              capture_output=True, text=True, timeout=5, env=env)
+                              capture_output=True, text=True, timeout=5, env=source_env())
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: convex-set enumeration limited to 16 elements\n"
+
+    def test_only_a_sweep_loads_numpy(self, tmp_path):
+        # numpy loads at the first sweep and multiprocessing with a worker
+        # pool, so import and the commands that run neither load them;
+        # check sweeps Co(4), which shows the probe can see numpy
+        script = f"""
+import contextlib, io, sys
+import colat
+from colat import cli
+
+def loaded():
+    print(",".join(m for m in ("numpy", "multiprocessing") if m in sys.modules))
+
+def step(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(list(argv)) == 0
+    loaded()
+    return out.getvalue()
+
+loaded()
+with open({str(tmp_path / "co4.json")!r}, "w") as f:
+    f.write(step("co", "4"))
+step("member", f.name)
+step("check", "--identity", "E", f.name)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=30, env=source_env())
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == ["", "", "", "numpy"]
 
     @pytest.mark.parametrize("argv", [["catalog", "lmn", "9", "9"],
                                       ["catalog", "co", "4000"]])
