@@ -114,6 +114,7 @@ def cases():
 
 
 def spread(seconds) -> dict:
+    """Every time, rounded, and their median."""
     return {"seconds": [round(s, 4) for s in seconds],
             "median_s": round(statistics.median(seconds), 4)}
 
