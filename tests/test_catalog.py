@@ -23,6 +23,7 @@ from colat.lattice import (
 )
 from colat.membership import decide_sub_lo, decide_sub_n
 from colat.poset import Poset, PosetError
+from examples import lmn_bitrack
 
 
 def by_label(L, lbl):
@@ -158,9 +159,10 @@ def test_canonical_bitrack_2_1():
 
 def test_canonical_bitrack_valid_up_to_six():
     for m, n in sums_upto(6):
-        t = canonical_bitrack(m, n)
+        L, t = l_mn(m, n), lmn_bitrack(m, n)
         assert t.index == (m, n)
-        assert is_weak_bitrack(l_mn(m, n), t)
+        assert is_weak_bitrack(L, t)
+        assert t in weak_bitracks(L, m, n)
 
 
 def test_canonical_bitrack_embeds_co_chain():

@@ -1,5 +1,8 @@
 """Tests for the (*) identity fixture and the completion search."""
 
+import hashlib
+import json
+
 import pytest
 
 from colat.poset import Poset
@@ -79,6 +82,11 @@ class TestCompletions:
         found = search_pq(limit=None)
         assert [w.Q.co_lattice()[0].n for w in found] == [40, 45, 45, 51]
         assert witness_to_json(found[0]) == witness_to_json(load_pq_fixture())
+
+    def test_first_witness_pinned(self):
+        text = json.dumps(witness_to_json(search_pq(limit=1)[0]), separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8bfdedc9d4ed540d0dc8ec11cd66051adf59725717f541f8a614d490fc7ffb32")
 
 
 class TestFixture:
