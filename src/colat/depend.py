@@ -127,10 +127,10 @@ def check_dependency_invariants(L: FinLattice) -> list[InvariantReport]:
         "dependents-antichain": (
             (a, x, y) for a in jis for x in rd[a] for y in rd[a]
             if x != y and L.leq(x, y)),
+        # no dependent of p lies above p, so each cover here is nontrivial
         "covers-minimal-above": (
             (p, x, y) for p in jis for x in rd[p] for y in rd[p]
-            if x < y and L.leq(p, jt[x][y])
-            and not (is_minimal_in(L, p, x, y) and is_minimal_in(L, p, y, x))),
+            if x < y and L.leq(p, jt[x][y]) and not is_minimal_pair_cover(L, p, x, y)),
         # x = y makes the conclusion a trivial cover, so the pair is kept distinct
         "two-step-cover": (
             (a, u, x, y) for a in jis for u in rd[a]
@@ -150,7 +150,7 @@ def _interval_value_failures(L: FinLattice):
     jis, jt = L.join_irreducibles, L.join_table
     for a in jis:
         for x in jis:
-            bs = [b for b in jis if b != a and is_minimal_pair_cover(L, x, a, b)]
+            bs = [b for b in jis if is_minimal_pair_cover(L, x, a, b)]
             # distinct triples in the order of the triple loop over bs
             for b0, b1, b2 in permutations(bs, 3):
                 j0, j1, j2 = jt[a][b0], jt[a][b1], jt[a][b2]
