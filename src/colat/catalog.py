@@ -1,11 +1,10 @@
-"""Named lattices Co(n) and L_{m,n}, the maps out of them, SI classification.
+"""Named lattices Co(n) and L_{m,n}, and SI classification.
 
 L_{m,n} is the sublattice of Co(m+n+1) of those convex sets X with
 m in X implying m-1 in X.  Its join-irreducibles are the singletons
-other than {m} together with c_m = {m-1, m}, and its canonical weak
-bi-track runs from c_m down to {0} on one side and up to {m+n} on the
-other.  Together with the Co(n) these are the only finite subdirectly
-irreducible members of SUB(LO), which is what classify_si leans on.
+other than {m} together with c_m = {m-1, m}.  Together with the Co(n)
+these are the only finite subdirectly irreducible members of SUB(LO),
+which is what classify_si leans on.
 """
 
 from __future__ import annotations
@@ -15,12 +14,10 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import Optional
 
-from .depend import WeakBiTrack, WeakTrack
 from .lattice import (
     FinLattice,
     LatticeError,
     LatticeMap,
-    _ji_extension,
     _restrict,
     find_isomorphism,
     monolith,
@@ -86,41 +83,6 @@ def co_chain(n: int) -> FinLattice:
 def l_mn(m: int, n: int) -> FinLattice:
     """Convex subsets X of the (m+n+1)-chain with m in X forcing m-1 in X."""
     return _catalog_target("lmn", (m, n))[0]
-
-
-def canonical_bitrack(m: int, n: int) -> WeakBiTrack:
-    """The defining weak bi-track of l_mn(m, n).
-
-    First track: c_m, {m-1}, ..., {0} with side {m+n}.  Second track:
-    c_m, {m+1}, ..., {m+n} with side {0}.  Element ids refer to
-    l_mn(m, n).  The construction is a weak bi-track, so it is not
-    re-checked.  Meet is intersection and join the hull of the union.
-    Past the head every entry is a singleton, so each step's meet is
-    empty, and the entry before it misses the side at the far end of the
-    chain.  c_m = {m-1, m} lies below each split's join, but the join of
-    its meets there is a singleton or empty.
-    """
-    gens = _catalog_target("lmn", (m, n))[1]
-    return WeakBiTrack(WeakTrack(gens[m::-1], side=gens[m + n]),
-                       WeakTrack(gens[m:], side=gens[0]))
-
-
-def track_embedding(L: FinLattice, t: WeakBiTrack) -> LatticeMap:
-    """Embedding of the convex-subset lattice of an (m+n)-chain induced by a
-    weak bi-track: chain positions map to track entries, fanned out from the
-    shared head, and general convex sets go to joins of their members.
-
-    Raises LatticeError when the induced map is not an injective homomorphism.
-    """
-    m, n = t.index
-    xs, ys = t.first.entries, t.second.entries
-    # chain position i < m takes xs[m - i], position i >= m takes ys[i - m + 1]
-    img = xs[m:0:-1] + ys[1:]
-    K, gens = _catalog_target("co_chain", (m + n,))
-    cand = _ji_extension(K, L, L.meet_table[img[0]][img[1]], dict(zip(gens, img)))
-    if not cand.injective or not cand.preserves_ops():
-        raise LatticeError("track does not induce an embedding")
-    return cand
 
 
 @dataclass(frozen=True)

@@ -8,17 +8,15 @@ The identity (*) fails in Co(P) at the all-singletons assignment but
 holds in Co(Q), where every convex set around the gap must pick up c.
 
 search_pq reconstructs the pair from the forced relations alone by
-sweeping all consistent order completions, so the shipped fixture is a
-computed object, not a transcribed one.
+sweeping all consistent order completions, so the pair is a computed
+object, not a transcribed one.
 """
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from itertools import product
 
 from .lattice import _restrict
-from .poset import Poset, poset_from_json, poset_to_json
+from .poset import Poset, poset_to_json
 from .terms import CheckResult, Identity, builtin, check, decide_identity, eval_term
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "star_identity",
     "search_pq",
     "verify_separation",
-    "load_pq_fixture",
 ]
 
 LABELS = ("0", "1", "2", "3", "a", "b", "c")
@@ -194,22 +191,3 @@ def witness_to_json(w: SeparationWitness) -> dict:
         "co_p_holds": w.co_p_holds,
         "failing_assignment": {v: lab for v, lab in w.failing_assignment},
     }
-
-
-def witness_from_json(data: dict) -> SeparationWitness:
-    star = star_identity()
-    assignment = data["failing_assignment"]
-    return SeparationWitness(
-        Q=poset_from_json(data["Q"]),
-        removed=data["removed"],
-        P=poset_from_json(data["P"]),
-        co_q_holds=bool(data["co_q_holds"]),
-        co_p_holds=bool(data["co_p_holds"]),
-        failing_assignment=tuple((v, assignment[v]) for v in star.variables),
-    )
-
-
-def load_pq_fixture() -> SeparationWitness:
-    """The shipped witness pair, produced by search_pq and frozen."""
-    text = resources.files("colat").joinpath("data/pq_witness.json").read_text()
-    return witness_from_json(json.loads(text)["witness"])

@@ -2,6 +2,34 @@
 
 from colat.catalog import l_mn
 from colat.depend import WeakBiTrack, WeakTrack
+from colat.lattice import FinLattice, lattice_from_json
+
+
+def by_label(L, label):
+    return L.labels.index(label)
+
+
+def chain_lattice(n):
+    up = tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n))
+    return FinLattice(up)
+
+
+def pentagon():
+    # 0 < a < c < 1 and 0 < b < 1 with a,b and b,c incomparable
+    return lattice_from_json({
+        "size": 5,
+        "leq_pairs": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [1, 4], [2, 4], [3, 4]],
+        "labels": ["0", "a", "c", "b", "1"],
+    })
+
+
+def diamond():
+    # M_3: three atoms below a common top
+    return lattice_from_json({
+        "size": 5,
+        "leq_pairs": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 4], [2, 4], [3, 4]],
+        "labels": ["0", "a", "b", "c", "1"],
+    })
 
 
 def lmn_bitrack(m, n):

@@ -15,7 +15,7 @@ from itertools import combinations
 import pytest
 
 from colat import cli
-from colat.catalog import canonical_bitrack, co_chain, l_mn, track_embedding
+from colat.catalog import co_chain, l_mn
 from colat.depend import (
     check_dependency_invariants,
     interval_value_check,
@@ -26,7 +26,6 @@ from colat.lattice import (
     direct_product,
     embedding_search,
     iter_lattices,
-    lattice_from_json,
     monolith,
     surjection_search,
 )
@@ -39,6 +38,7 @@ from colat.membership import (
 from colat.project import retract_section
 from colat.star import search_pq, star_identity
 from colat.terms import builtin, check, check_sigma, eval_term
+from examples import diamond, lmn_bitrack
 from oracles import distributive
 
 WORKERS = min(8, os.cpu_count() or 1)
@@ -55,15 +55,6 @@ def _gate(capsys, num, label, body):
     tail = f" ({detail})" if detail else ""
     with capsys.disabled():
         print(f"ACCEPTANCE {num:02d} PASS: {label}{tail}")
-
-
-def _m3():
-    return lattice_from_json({
-        "size": 5,
-        "leq_pairs": [[0, 1], [0, 2], [0, 3], [0, 4],
-                      [1, 4], [2, 4], [3, 4]],
-        "labels": ["0", "a", "b", "c", "1"],
-    })
 
 
 @cache
@@ -135,7 +126,7 @@ def test_03_membership_boundaries(capsys):
                 assert decide_sub_n(L, 2), name
                 dist += 1
         assert dist == 15
-        assert not decide_sub_lo(_m3()).accepted
+        assert not decide_sub_lo(diamond()).accepted
         return f"levels 3-5 strict, {dist} distributive members at level 2"
 
     _gate(capsys, 3, "membership boundaries", body)
@@ -209,8 +200,8 @@ def test_06_dependency_invariants(capsys):
 def test_07_catalog_suite(capsys):
     """For index sums up to 5: join-irreducibles are the singletons plus
     the doubleton, the monolith identifies the doubleton with its lower
-    singleton, the canonical bi-track validates and embeds the chain
-    convexity lattice, every bi-track at the full index sum carries the
+    singleton, the canonical bi-track validates, the chain convexity
+    lattice of its index sum embeds, every bi-track at the full index sum carries the
     canonical trace or its mirror, and equal-sum classes are mutually
     non-embeddable, leaving s-1 classes at sum s."""
 
@@ -230,10 +221,9 @@ def test_07_catalog_suite(capsys):
                 assert mono is not None, (m, n)
                 assert mono.same(by_label[f"{{{m - 1}}}"],
                                  by_label[f"{{{m - 1},{m}}}"]), (m, n)
-                t = canonical_bitrack(m, n)
+                t = lmn_bitrack(m, n)
                 assert is_weak_bitrack(L, t), (m, n)
-                emb = track_embedding(L, t)
-                assert emb.source.n == co_chain(m + n).n, (m, n)
+                assert embedding_search(co_chain(m + n), L) is not None, (m, n)
                 canon = t.trace()
                 mirror = (canon[1], canon[0])
                 seen = set()

@@ -2,15 +2,7 @@ import itertools
 
 import pytest
 
-from colat.catalog import (
-    SIClass,
-    _catalog_target,
-    canonical_bitrack,
-    classify_si,
-    co_chain,
-    l_mn,
-    track_embedding,
-)
+from colat.catalog import SIClass, _catalog_target, classify_si, co_chain, l_mn
 from colat.depend import dependency_closure, is_weak_bitrack, weak_bitracks
 from colat.lattice import (
     LatticeMap,
@@ -23,37 +15,11 @@ from colat.lattice import (
 )
 from colat.membership import decide_sub_lo, decide_sub_n
 from colat.poset import Poset, PosetError
-from examples import lmn_bitrack
-
-
-def by_label(L, lbl):
-    return next(i for i in range(L.n) if L.labels[i] == lbl)
+from examples import by_label, diamond, lmn_bitrack, pentagon
 
 
 def sums_upto(hi):
     return [(m, s - m) for s in range(2, hi + 1) for m in range(1, s)]
-
-
-@pytest.fixture
-def pentagon():
-    return lattice_from_json(
-        {
-            "size": 5,
-            "leq_pairs": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [1, 4], [2, 4], [3, 4]],
-            "labels": ["0", "a", "c", "b", "1"],
-        }
-    )
-
-
-@pytest.fixture
-def diamond():
-    return lattice_from_json(
-        {
-            "size": 5,
-            "leq_pairs": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 4], [2, 4], [3, 4]],
-            "labels": ["0", "a", "b", "c", "1"],
-        }
-    )
 
 
 # -- constructors -----------------------------------------------------------
@@ -88,11 +54,11 @@ def test_catalog_lattices_are_built_once():
     assert l_mn(2, 1) is l_mn(2, 1) is _catalog_target("lmn", (2, 1))[0]
 
 
-def test_lmn_11_is_pentagon(pentagon):
+def test_lmn_11_is_pentagon():
     L = l_mn(1, 1)
     assert L.n == 5
     assert set(L.labels) == {"{}", "{0}", "{2}", "{0,1}", "{0,1,2}"}
-    assert find_isomorphism(pentagon, L) is not None
+    assert find_isomorphism(pentagon(), L) is not None
 
 
 def test_lmn_sizes():
@@ -141,20 +107,19 @@ def test_lmn_monolith_identifies_cm_with_singleton():
 
 def test_canonical_bitrack_1_1():
     L = l_mn(1, 1)
-    t = canonical_bitrack(1, 1)
     names = lambda xs: tuple(L.labels[x] for x in xs)
+    [t] = [t for t in weak_bitracks(L, 1, 1) if L.labels[t.first.side] == "{2}"]
     assert names(t.first.entries) == ("{0,1}", "{0}")
-    assert L.labels[t.first.side] == "{2}"
     assert names(t.second.entries) == ("{0,1}", "{2}")
     assert L.labels[t.second.side] == "{0}"
 
 
 def test_canonical_bitrack_2_1():
+    # the second side varies over {0}, {1} and {0,1}; the first track does not
     L = l_mn(2, 1)
-    t = canonical_bitrack(2, 1)
-    names = tuple(L.labels[x] for x in t.first.entries)
-    assert names == ("{1,2}", "{1}", "{0}")
-    assert L.labels[t.first.side] == "{3}"
+    [first] = {t.first for t in weak_bitracks(L, 2, 1)}
+    assert tuple(L.labels[x] for x in first.entries) == ("{1,2}", "{1}", "{0}")
+    assert L.labels[first.side] == "{3}"
 
 
 def test_canonical_bitrack_valid_up_to_six():
@@ -166,17 +131,16 @@ def test_canonical_bitrack_valid_up_to_six():
 
 
 def test_canonical_bitrack_embeds_co_chain():
+    # a weak bi-track of index (m, n) spans a copy of Co(m+n)
     for m, n in sums_upto(5):
-        L = l_mn(m, n)
-        emb = track_embedding(L, canonical_bitrack(m, n))
-        assert emb.source.n == co_chain(m + n).n
-        assert emb.injective and emb.preserves_ops()
+        emb = embedding_search(co_chain(m + n), l_mn(m, n))
+        assert emb is not None and emb.injective and emb.preserves_ops()
 
 
 def test_equal_sum_bitracks_have_canonical_trace():
     for m, n in sums_upto(4):
         L = l_mn(m, n)
-        canon = canonical_bitrack(m, n).trace()
+        canon = lmn_bitrack(m, n).trace()
         mirror = (canon[1], canon[0])
         seen = 0
         for mp in range(1, m + n):
@@ -200,8 +164,8 @@ def test_distinct_equal_sum_lmn_do_not_embed():
 # -- classification ---------------------------------------------------------
 
 
-def test_classify_pentagon(pentagon):
-    c = classify_si(pentagon)
+def test_classify_pentagon():
+    c = classify_si(pentagon())
     assert c.tag == "lmn" and c.params == (1, 1)
     assert c.iso is not None and c.iso.preserves_ops() and c.iso.injective
 
@@ -217,8 +181,8 @@ def test_classify_boolean_square_not_si():
     assert classify_si(co_chain(2)) == SIClass("not_si", (), None)
 
 
-def test_classify_rejected_lattice(diamond):
-    assert classify_si(diamond) == SIClass("not_member", (), None)
+def test_classify_rejected_lattice():
+    assert classify_si(diamond()) == SIClass("not_member", (), None)
 
 
 def test_classify_lmn_family():

@@ -12,7 +12,7 @@ import pytest
 
 from colat import cli, terms
 from colat.lattice import lattice_from_json
-from colat.star import SeparationReport, load_pq_fixture
+from colat.star import SeparationReport, search_pq
 from colat.terms import CheckResult
 from colat.poset import poset_to_json
 
@@ -562,7 +562,7 @@ class TestRetract:
 
 class TestFindPQ:
     def test_emits_witness(self, capsys, monkeypatch):
-        fixture = load_pq_fixture()
+        fixture = search_pq(limit=1)[0]
         monkeypatch.setattr(cli, "search_pq",
                             lambda limit: [fixture])
         rc, out, _ = run(capsys, "find-pq")
@@ -608,7 +608,7 @@ class TestVerifySeparation:
         assert rc == 2
 
     def test_separated_report(self, tmp_path, capsys, monkeypatch):
-        w = load_pq_fixture()
+        w = search_pq(limit=1)[0]
         p = tmp_path / "p.json"
         q = tmp_path / "q.json"
         p.write_text(json.dumps(poset_to_json(w.P)))

@@ -19,14 +19,14 @@ from colat.catalog import co_chain, l_mn
 from colat.lattice import direct_product, lattice_to_json
 from colat.membership import certificate_to_json, decide_sub_lo
 from colat.poset import poset_to_json
-from colat.star import SeparationReport, load_pq_fixture
+from colat.star import SeparationReport, search_pq
 from colat.terms import CheckResult
 
 
 def _files() -> dict[str, object]:
     pent = l_mn(1, 1)
     prod = direct_product(co_chain(3), co_chain(2))
-    w = load_pq_fixture()
+    w = search_pq(limit=1)[0]
     return {
         "pent.json": lattice_to_json(pent),
         "m3.json": {
@@ -221,7 +221,7 @@ PINNED = {
 
 def _record(tmp) -> dict[str, str]:
     """Hash of every argv, run in the directory tmp."""
-    fixture = load_pq_fixture()
+    fixture = search_pq(limit=1)[0]
     fake = SeparationReport(
         co_p=CheckResult("STAR", False, dict.fromkeys(
             ("x0", "x1", "x2", "x3", "xa", "xb"), 1), 31 ** 6),

@@ -34,30 +34,8 @@ from colat.membership import decide_sub_lo
 from colat.poset import Poset
 from colat.star import LABELS, _completions
 from colat.terms import builtin, check
+from examples import chain_lattice, diamond, pentagon
 from oracles import backtracking_surjections, d_closure, distributive
-
-
-def chain_lattice(n: int) -> FinLattice:
-    up = tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n))
-    return FinLattice(up)
-
-
-def pentagon() -> FinLattice:
-    # 0 < a < c < 1 and 0 < b < 1 with a,b and b,c incomparable
-    return lattice_from_json({
-        "size": 5,
-        "leq_pairs": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [1, 4], [2, 4], [3, 4]],
-        "labels": ["0", "a", "c", "b", "1"],
-    })
-
-
-def diamond() -> FinLattice:
-    # three atoms below a common top
-    return lattice_from_json({
-        "size": 5,
-        "leq_pairs": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 4], [2, 4], [3, 4]],
-        "labels": ["0", "a", "b", "c", "1"],
-    })
 
 
 def test_tables_on_pentagon():

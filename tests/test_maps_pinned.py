@@ -10,8 +10,7 @@ import json
 
 import pytest
 
-from colat.catalog import classify_si, co_chain, l_mn, track_embedding
-from colat.depend import weak_bitracks
+from colat.catalog import classify_si, co_chain, l_mn
 from colat.lattice import (
     LatticeError,
     direct_product,
@@ -33,12 +32,11 @@ TARGETS = [
 ]
 
 # 566 embeddings over 780 pairs, 353 isomorphisms over 3,066 pairs, 78
-# classifications, 12,676 track embeddings (9,644 errors) and 339 sections
+# classifications and 339 sections
 PINNED = {
     "embedding_search": "0ae5d2e78e6ede998e6444c1dfc387b28226b4e17570a3a2c64afd442017e908",
     "isomorphisms": "98b03efc046f5a28a81fea89382f7fe144b93db4d0806e8c34425e7ed9bb9372",
     "classify_si": "b2a7dc5b01a82cfbb1a7d27fff303302923bd6a5041bb7180102798fa86edf96",
-    "track_embedding": "71c087f0ac2ca31f0b3449c9b30d16a70ada0dc1a5dd90673a4b3e4a947a06b3",
     "retract_section": "edeaf27e5f534de1aa928b17f4eb778c71779f5d62a16f0890f599d43885789d",
 }
 
@@ -70,13 +68,6 @@ def _classify(L):
     return [cls.tag, cls.params, None if cls.iso is None else cls.iso.values]
 
 
-def _track_embeddings():
-    for L in SMALL:
-        for m, n in ((1, 1), (1, 2), (2, 1)):
-            for t in weak_bitracks(L, m, n):
-                yield _guarded(lambda: track_embedding(L, t).values)
-
-
 def _sections():
     sources = SMALL + [
         direct_product(co_chain(2), co_chain(3)),
@@ -93,7 +84,6 @@ OUTPUTS = {
     "embedding_search": _embeddings,
     "isomorphisms": _isomorphisms,
     "classify_si": lambda: (_classify(L) for L in SMALL),
-    "track_embedding": _track_embeddings,
     "retract_section": _sections,
 }
 

@@ -27,37 +27,12 @@ from colat.membership import (
 )
 from colat.poset import Poset
 from colat.terms import builtin, check
+from examples import by_label, diamond, pentagon
 from oracles import catalog_level, distributive, first_chain_order, in_sub_n
 
 
 def co_chain(n):
     return Poset.chain(n).co_lattice()[0]
-
-
-def by_label(L, lbl):
-    return next(i for i in range(L.n) if L.labels[i] == lbl)
-
-
-@pytest.fixture
-def pentagon():
-    return lattice_from_json(
-        {
-            "size": 5,
-            "leq_pairs": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [1, 4], [2, 4], [3, 4]],
-            "labels": ["0", "a", "c", "b", "1"],
-        }
-    )
-
-
-@pytest.fixture
-def diamond():
-    return lattice_from_json(
-        {
-            "size": 5,
-            "leq_pairs": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 4], [2, 4], [3, 4]],
-            "labels": ["0", "a", "b", "c", "1"],
-        }
-    )
 
 
 # -- chain_order ------------------------------------------------------------
@@ -85,9 +60,10 @@ def test_chain_order_distributive_always_singleton():
         assert chain_order(L, a).chain == (a,)
 
 
-def test_chain_order_diamond_fails_every_atom(diamond):
-    for a in diamond.join_irreducibles:
-        assert chain_order(diamond, a) is None
+def test_chain_order_diamond_fails_every_atom():
+    M = diamond()
+    for a in M.join_irreducibles:
+        assert chain_order(M, a) is None
 
 
 def test_chain_order_rejects_reducible():
@@ -141,33 +117,36 @@ def test_induced_map_positions():
 # -- decide_sub_lo ----------------------------------------------------------
 
 
-def test_diamond_rejected_at_first_anchor(diamond):
+def test_diamond_rejected_at_first_anchor():
     # the Sigma diagnostics of a rejection are the CLI's (tests/test_cli.py)
-    r = decide_sub_lo(diamond)
+    M = diamond()
+    r = decide_sub_lo(M)
     assert not r.accepted
     assert r.certificate is None
-    assert r.anchor == diamond.join_irreducibles[0]
+    assert r.anchor == M.join_irreducibles[0]
 
 
-def test_pentagon_accepted(pentagon):
-    r = decide_sub_lo(pentagon)
+def test_pentagon_accepted():
+    L = pentagon()
+    r = decide_sub_lo(L)
     assert r.accepted and r.anchor is None
-    assert verify_certificate(pentagon, r.certificate)
-    c = by_label(pentagon, "c")
+    assert verify_certificate(L, r.certificate)
+    c = by_label(L, "c")
     wit = next(w for w in r.certificate.witnesses if w.anchor == c)
     assert len(wit.chain) == 3
 
 
-def test_pentagon_single_anchor_injective(pentagon):
+def test_pentagon_single_anchor_injective():
     # subdirectly irreducible: some anchor must see all of J(L) injectively
-    r = decide_sub_lo(pentagon)
-    k = len(pentagon.join_irreducibles)
+    L = pentagon()
+    r = decide_sub_lo(L)
+    k = len(L.join_irreducibles)
     full = [
         m
         for w, m in zip(r.certificate.witnesses, r.certificate.maps)
         if len(w.chain) == k
     ]
-    assert any(len(set(m)) == pentagon.n for m in full)
+    assert any(len(set(m)) == L.n for m in full)
 
 
 def test_co4_certificate_size():
@@ -193,9 +172,10 @@ def test_workers_agree():
     assert decide_sub_lo(L, workers=2) == decide_sub_lo(L)
 
 
-def test_workers_agree_on_rejection(diamond):
-    r1 = decide_sub_lo(diamond)
-    r2 = decide_sub_lo(diamond, workers=2)
+def test_workers_agree_on_rejection():
+    M = diamond()
+    r1 = decide_sub_lo(M)
+    r2 = decide_sub_lo(M, workers=2)
     assert (r1.accepted, r1.anchor) == (r2.accepted, r2.anchor)
 
 
@@ -226,14 +206,15 @@ def test_accepted_lattices_satisfy_identities():
 # -- decide_sub_n -----------------------------------------------------------
 
 
-def test_sub_n_examples(pentagon):
+def test_sub_n_examples():
+    L = pentagon()
     C3 = co_chain(3)
     assert decide_sub_n(C3, 3)
     assert not decide_sub_n(C3, 2)
     square = direct_product(co_chain(1), co_chain(1))
     assert decide_sub_n(square, 2)
-    assert decide_sub_n(pentagon, 3)
-    assert not decide_sub_n(pentagon, 2)
+    assert decide_sub_n(L, 3)
+    assert not decide_sub_n(L, 2)
 
 
 def test_sub_zero_is_trivial_variety():
@@ -313,15 +294,16 @@ def test_certificate_rejects_boolean_positions(pos):
         certificate_from_json(L, data)
 
 
-def test_certificate_of_non_member_fails(diamond):
+def test_certificate_of_non_member_fails():
     # on the order a, b, c every trace is an interval and every meet goes to
     # the intersection of traces, but a v b, the top, is traced onto all three
-    chain = diamond.join_irreducibles
-    traces = induced_map(diamond, chain)
+    M = diamond()
+    chain = M.join_irreducibles
+    traces = induced_map(M, chain)
     assert all(t == tuple(range(t[0], t[-1] + 1)) for t in traces if t)
     cert = EmbeddingCertificate(tuple(ChainOrderWitness(a, chain) for a in chain),
                                 (traces,) * len(chain))
-    assert not verify_certificate(diamond, cert)
+    assert not verify_certificate(M, cert)
 
 
 def test_certificate_missing_witness_fails():
@@ -331,14 +313,15 @@ def test_certificate_missing_witness_fails():
     assert not verify_certificate(L, pruned)
 
 
-def test_certificate_wrong_chain_members_fails(pentagon):
-    cert = decide_sub_lo(pentagon).certificate
-    a = pentagon.join_irreducibles[0]
+def test_certificate_wrong_chain_members_fails():
+    L = pentagon()
+    cert = decide_sub_lo(L).certificate
+    a = L.join_irreducibles[0]
     bad = tuple(
         ChainOrderWitness(w.anchor, (a,) * len(w.chain)) for w in cert.witnesses
     )
     assert not verify_certificate(
-        pentagon, EmbeddingCertificate(bad, cert.maps)
+        L, EmbeddingCertificate(bad, cert.maps)
     )
 
 
@@ -349,15 +332,16 @@ def test_certificate_missing_map_fails():
     assert not verify_certificate(L, EmbeddingCertificate(cert.witnesses, cert.maps[:-1]))
 
 
-def test_certificate_repeated_chain_entry_fails(pentagon):
+def test_certificate_repeated_chain_entry_fails():
     # a chain that repeats a member is no order of its anchor's dependency set,
     # even with every map recomputed from it
-    cert = decide_sub_lo(pentagon).certificate
+    L = pentagon()
+    cert = decide_sub_lo(L).certificate
     w = next(w for w in cert.witnesses if len(w.chain) >= 2)
     long = ChainOrderWitness(w.anchor, w.chain + w.chain[:1])
     witnesses = tuple(long if v == w else v for v in cert.witnesses)
-    maps = tuple(induced_map(pentagon, v.chain) for v in witnesses)
-    assert not verify_certificate(pentagon, EmbeddingCertificate(witnesses, maps))
+    maps = tuple(induced_map(L, v.chain) for v in witnesses)
+    assert not verify_certificate(L, EmbeddingCertificate(witnesses, maps))
 
 
 # sha256 of the compact JSON list of verify_certificate verdicts on 6 certificates
@@ -384,9 +368,11 @@ def test_random_order_certificates_pinned():
 # -- brute-force oracle -----------------------------------------------------
 
 
-def test_oracle_examples(pentagon, diamond):
-    assert not brute_force_oracle(diamond)
-    assert brute_force_oracle(pentagon)
+def test_oracle_examples():
+    L = pentagon()
+    M = diamond()
+    assert not brute_force_oracle(M)
+    assert brute_force_oracle(L)
 
 
 def test_oracle_size_guard():

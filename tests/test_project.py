@@ -8,7 +8,6 @@ import pytest
 
 from colat.catalog import _catalog_target, co_chain, l_mn
 from colat.lattice import (
-    FinLattice,
     LatticeError,
     LatticeMap,
     direct_product,
@@ -24,21 +23,7 @@ from colat.project import (
     retract_section,
     split_config,
 )
-
-
-def by_label(L, label):
-    return L.labels.index(label)
-
-
-def diamond():
-    # M_3: three atoms under a common top
-    pairs = [[0, 1], [0, 2], [0, 3], [0, 4], [1, 4], [2, 4], [3, 4]]
-    up = [0] * 5
-    for i in range(5):
-        up[i] |= 1 << i
-    for a, b in pairs:
-        up[a] |= 1 << b
-    return FinLattice(tuple(up), ("0", "a", "b", "c", "1"))
+from examples import by_label, diamond
 
 
 class TestLambdaHolds:

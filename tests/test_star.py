@@ -1,4 +1,4 @@
-"""Tests for the (*) identity fixture and the completion search."""
+"""Tests for the (*) identity, the completion search and its first pair."""
 
 import hashlib
 import json
@@ -12,11 +12,9 @@ from colat.star import (
     LABELS,
     _completions,
     _singleton_assignment,
-    load_pq_fixture,
     search_pq,
     star_identity,
     verify_separation,
-    witness_from_json,
     witness_to_json,
 )
 from colat.terms import check, eval_term
@@ -78,10 +76,10 @@ class TestCompletions:
 
     def test_exhaustive_search(self):
         # every completion: Co(Q) satisfies (*) in exactly four of them, and
-        # the first of those is the shipped pair
+        # the first of those is the pair that limit=1 stops at
         found = search_pq(limit=None)
         assert [w.Q.co_lattice()[0].n for w in found] == [40, 45, 45, 51]
-        assert witness_to_json(found[0]) == witness_to_json(load_pq_fixture())
+        assert witness_to_json(found[0]) == witness_to_json(search_pq(limit=1)[0])
 
     def test_first_witness_pinned(self):
         text = json.dumps(witness_to_json(search_pq(limit=1)[0]), separators=(",", ":"))
@@ -89,27 +87,28 @@ class TestCompletions:
             "8bfdedc9d4ed540d0dc8ec11cd66051adf59725717f541f8a614d490fc7ffb32")
 
 
+@pytest.fixture(scope="module")
+def w():
+    return search_pq(limit=1)[0]
+
+
 class TestFixture:
-    def test_shape(self):
-        w = load_pq_fixture()
+    def test_shape(self, w):
         assert w.Q.n == 7
         assert w.P.n == 6
         assert w.removed == "c"
         assert w.co_q_holds and not w.co_p_holds
 
-    def test_p_is_q_minus_c(self):
-        w = load_pq_fixture()
+    def test_p_is_q_minus_c(self, w):
         keep = [i for i in range(w.Q.n) if w.Q.labels[i] != "c"]
         R = w.Q.restrict(keep)
         assert R.labels == w.P.labels
         assert R.up == w.P.up
 
-    def test_q_is_a_consistent_completion(self):
-        w = load_pq_fixture()
+    def test_q_is_a_consistent_completion(self, w):
         assert any(Q.up == w.Q.up for _, Q in _completions())
 
-    def test_failing_assignment_reevaluates(self):
-        w = load_pq_fixture()
+    def test_failing_assignment_reevaluates(self, w):
         star = star_identity()
         coP, masks = w.P.co_lattice()
         labels = dict(w.failing_assignment)
@@ -118,14 +117,6 @@ class TestFixture:
         assert eval_term(coP, star.rhs, env) == coP.bottom
         assert sorted(labels.values()) == sorted(
             "{%s}" % lab for lab in w.P.labels)
-
-    def test_round_trip(self):
-        w = load_pq_fixture()
-        again = witness_from_json(witness_to_json(w))
-        assert (again.Q.up, again.Q.labels) == (w.Q.up, w.Q.labels)
-        assert (again.P.up, again.P.labels) == (w.P.up, w.P.labels)
-        assert again.removed == w.removed
-        assert again.failing_assignment == w.failing_assignment
 
 
 class TestVerifySeparation:

@@ -48,7 +48,9 @@ def test_one_backtracker_in_membership():
                                   "_meet_pairs", "_covered", "variety_position",
                                   "VarietyPosition", "_separating_hom", "_co_chain",
                                   "_extreme_of", "label_of", "def blocks", "is_zero",
-                                  "is_all", "def component", "least[up"])
+                                  "is_all", "def component", "least[up",
+                                  "canonical_bitrack", "track_embedding", "load_pq_fixture",
+                                  "witness_from_json", "pq_witness"])
 def test_merged_map_builders_gone(name):
     # replaced by _ji_extension and catalog._catalog_target; the chain
     # search's bipartition guess and leaf re-check by its exact prunes,
@@ -62,7 +64,9 @@ def test_merged_map_builders_gone(name):
     # builders' extreme search by _keyed, and the test-only label_of,
     # blocks, is_zero and is_all by labels[i] and block_of; the verifier's
     # injectivity test (component) and the enumerator's join test
-    # (least[up...]) are decided by the checks beside them
+    # (least[up...]) are decided by the checks beside them; only tests read
+    # the canonical bi-track, its embedding and the shipped (P, Q) fixture,
+    # which they now write from labels, embedding_search and search_pq
     assert not [p.name for p in SOURCES if name in p.read_text()]
 
 
@@ -70,9 +74,9 @@ def test_merged_map_builders_gone(name):
                                      "disagrees with intersection", "no stable tuple",
                                      "section verification failed", "failed validation"])
 def test_proved_rechecks_gone(message):
-    # decide_sub_lo's certificate, co_lattice's tables, retract_section's
-    # loop bound and section, and canonical_bitrack are correct by their
-    # construction; each docstring states the proof and the tests check it
+    # decide_sub_lo's certificate, co_lattice's tables, and retract_section's
+    # loop bound and section are correct by their construction; each
+    # docstring states the proof and the tests check it
     assert not [p.name for p in SOURCES if message in p.read_text()]
 
 

@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from examples import chain_lattice, diamond, pentagon
 from oracles import demand_update, distributive, naive_check
 
 from colat.lattice import (
     FinLattice,
     direct_product,
     iter_lattices,
-    lattice_from_json,
     lattices_of_size,
 )
 from colat.poset import Poset
@@ -52,29 +52,8 @@ from colat.terms import (
 )
 
 
-def chain_lattice(n):
-    up = tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n))
-    return FinLattice(up)
-
-
 def co_chain(n):
     return Poset.chain(n).co_lattice()[0]
-
-
-def pentagon():
-    return lattice_from_json({
-        "size": 5,
-        "leq_pairs": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [1, 4], [2, 4], [3, 4]],
-        "labels": ["0", "a", "c", "b", "1"],
-    })
-
-
-def diamond():
-    return lattice_from_json({
-        "size": 5,
-        "leq_pairs": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 4], [2, 4], [3, 4]],
-        "labels": ["0", "a", "b", "c", "1"],
-    })
 
 
 # -- parsing ---------------------------------------------------------------------
