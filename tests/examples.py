@@ -36,7 +36,12 @@ def lmn_bitrack(m, n):
     """The canonical weak bi-track of l_mn(m, n), written from its labels.
 
     First track: {m-1,m}, {m-1}, ..., {0} beside {m+n}.  Second track:
-    {m-1,m}, {m+1}, ..., {m+n} beside {0}.
+    {m-1,m}, {m+1}, ..., {m+n} beside {0}.  It is a weak bi-track: meet
+    is intersection and join the hull of the union.  Past the head every
+    entry is a singleton, so each step's meet is empty, and the entry
+    before it misses the side at the far end of the chain.  {m-1,m} lies
+    below each split's join, but the join of its meets there is a
+    singleton or empty.
     """
     at = {lab: i for i, lab in enumerate(l_mn(m, n).labels)}
     head = at["{%d,%d}" % (m - 1, m)]
