@@ -17,14 +17,16 @@ Co(P), which fail and stop at their least witnesses; and D2DUAL on
 M_40, where the demand search gives up and the sweep decides.  Three
 rows, check(E)@Co(10), check(HS)@Co(10) and check(P)@Co(12), run
 ``check`` at its default budget on Co(2k) for a k-variable identity,
-which holds there iff it holds in all of SUB(LO); all three hold, and
-the demand search alone proves them.  One row runs ``decide_identity``
-of the inclusion (v x0 ... x2999) <= (^ x0 ... x2999), which fails, on
-Co(3): its 3,000-child join goal has 3,000 one-child branches.  Three
-rows run ``check`` of E, P and HS on each of the 1,078 lattices of size
-9, the corpus of the paper's claims at n = 9, and record how many hold
-(1030, 467 and 185).  Three rows run ``decide_identity`` of E, P and HS,
-the demand search alone, on each of the 222 lattices of size 8 and
+which holds there iff it holds in all of SUB(LO); all three hold.  The
+demand search alone proves HS and P; on E it gives up within its budget
+of 1/1024 of the swept cells, and the sweep decides.  One row runs
+``decide_identity`` of the inclusion (v x0 ... x2999) <= (^ x0 ...
+x2999), which fails, on Co(3): its 3,000-child join goal has 3,000
+one-child branches.  Three rows run ``check`` of E, P and HS on each of
+the 1,078 lattices of size 9, the corpus of the paper's claims at n = 9,
+and record how many hold (1030, 467 and 185) and the sha256 of the
+compact JSON list of their witnesses, null where the identity holds.
+Three rows run ``decide_identity`` of E, P and HS, the demand search alone, on each of the 222 lattices of size 8 and
 record how many hold (219, 137 and 64).  One row runs ``brute_force_oracle`` on each of
 the 222 lattices of size 8 and records how many it accepts (63).  One
 row runs ``decide_sub_lo`` on each of the 1,078 lattices of size 9 and
@@ -48,6 +50,7 @@ pairs it finds.  OUT.json records the machine
 (nproc, CPU model, Python and numpy versions) and every timing.
 """
 
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -176,9 +179,12 @@ def main() -> int:
     size9 = lattice.lattices_of_size(9)
     for name in ("E", "P", "HS"):
         ident = terms.builtin(name)
-        holds, times = timed(lambda: sum(terms.check(L, ident).holds for L in size9))
+        results, times = timed(lambda: [terms.check(L, ident) for L in size9])
+        holds = sum(r.holds for r in results)
+        witnesses = json.dumps([r.witness for r in results], separators=(",", ":"))
         rows.append({"case": f"{name}@lattices_of_size(9)", "lattices": len(size9),
-                     "holds": holds, **times})
+                     "holds": holds,
+                     "witnesses_sha256": hashlib.sha256(witnesses.encode()).hexdigest(), **times})
         print(f"{rows[-1]['case']:24s} holds={holds:4d} median={times['median_s']:7.3f} s")
     size8 = lattice.lattices_of_size(8)
     for name in ("E", "P", "HS"):

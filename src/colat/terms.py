@@ -12,8 +12,14 @@ is imported by the first sweep, so the rest of colat runs without it.  An
 axis is one variable, or one run of symmetric variables (see
 _symmetric_runs): a permutation of a run maps a failing assignment to a
 failing one, so the least witness has each run's values non-decreasing,
-and the run's axis holds only those tuples, in lexicographic order.
-The node lists and the runs are computed once per identity.  The two
+and the run's axis holds only those tuples, in lexicographic order.  A
+restricted variable (see _restricted_variables), one met directly with
+every tested left side, can be lowered to a join-irreducible at any
+failing assignment, so at the least witness it lies in D(L) (see
+_domain), J(L) when the elements are numbered along a linear extension;
+as a prefix or on its axis it sweeps only D(L).  The first variable of
+E, P, HS and D2DUAL is restricted.  The node lists, the runs and the
+restricted variables are computed once per identity.  The two
 compared terms share one node list over an injective encoding of the
 elements (see _encoding): with at most 16 join-irreducibles, bitmasks of
 the join-irreducibles below, so a meet is an AND and a join of any arity
@@ -41,9 +47,10 @@ would need more than one chunk.  "Holds" returns at once; after "fails"
 the search fixes the prefix variables one at a time, skipping each slab
 of assignments it proves clean, until it names the chunk of the least
 witness.  The sweep starts at that chunk, or at the deepest prefix
-reached when the shared budget of total / 1024 states runs out.  The
-sweep alone produces witnesses, and every check of at most CHUNK_CELLS
-assignments is swept directly.
+reached when the shared budget runs out: 1/1024 of the cells that the
+sweep would visit, counted with the runs and D(L).  The sweep alone
+produces witnesses, and every check of at most CHUNK_CELLS assignments
+is swept directly.
 """
 
 from __future__ import annotations
@@ -212,12 +219,17 @@ class Identity:
             raise TermError(f"undeclared variables: {sorted(stray)}")
 
     # check's derived data, kept on the identity so that a later call costs
-    # one attribute read: the runs of _symmetric_runs, the node list of both
-    # terms with their roots and the inclusions to test, _compile's by prefix
-    # length, and _demand_kernel's, generated code that pickling leaves out
+    # one attribute read: the runs of _symmetric_runs, the variables of
+    # _restricted_variables, the node list of both terms with their roots and
+    # the inclusions to test, _compile's by prefix length, and
+    # _demand_kernel's, generated code that pickling leaves out
     @cached_property
     def _run_ends(self) -> tuple[int, ...]:
         return _symmetric_runs(self)
+
+    @cached_property
+    def _restricted(self) -> int:
+        return _restricted_variables(self)
 
     @cached_property
     def _sides(self) -> tuple[tuple, list]:
@@ -469,6 +481,38 @@ def _symmetric_runs(ident: Identity) -> tuple[int, ...]:
     return tuple(ends)
 
 
+def _restricted_variables(ident: Identity) -> int:
+    """The bitmask of the restricted variables: each x that is, in every
+    tested left side p, p itself or a meetand of p that no other meetand reads.
+
+    A restricted x takes a value in D(L) (see _domain) at the least
+    counter-assignment.  Every element is the join of the join-irreducibles
+    below it (Freese, Jezek and Nation, Free Lattices, ch. 1-2), so if p <= q
+    fails at s, some j in J(L) has j <= p(s) and j !<= q(s).  Write p as
+    x ^ p', where p' does not read x (p' is top when p is x).  Lowering x
+    to j, which lies below p(s) <= s(x), gives t with p(t) = j ^ p'(s) = j,
+    as j <= p(s) <= p'(s), and q(t) <= q(s), as q is monotone: p <= q
+    still fails at t.  If s(x) is not in D(L), it is not in J(L), and every
+    j in J(L) below it is numbered before it, so t comes before s in the
+    lexicographic order.  x is restricted in every tested inclusion, so
+    this holds for whichever fails at the least counter-assignment, and
+    that one has every restricted variable in D(L).  The first variable of
+    E, P, HS and D2DUAL is restricted, and none of (*).
+    """
+    (nodes, *_), sides = ident._sides
+    got = (1 << len(ident.variables)) - 1
+    for p, _ in sides:
+        kind, kids, _, _ = nodes[p]
+        direct = elsewhere = 0
+        for k in kids if kind == "meet" else (p,):
+            if nodes[k][0] == "var":
+                direct |= nodes[k][3]
+            else:
+                elsewhere |= nodes[k][3]
+        got &= direct & ~elsewhere
+    return got
+
+
 def _compile(ident: Identity, n_prefix: int):
     """CSE the compared terms into one topologically sorted node list.
 
@@ -511,11 +555,12 @@ def _compile(ident: Identity, n_prefix: int):
 
 
 @lru_cache(maxsize=64)
-def _combinations(n: int, k: int):
-    """The non-decreasing k-tuples over range(n) in lexicographic order, one per row."""
+def _combinations(domain, k: int):
+    """The non-decreasing k-tuples over domain, an ascending range or tuple,
+    in lexicographic order, one per row."""
     import numpy as np
-    rows = list(itertools.combinations_with_replacement(range(n), k))
-    table = np.array(rows, dtype=np.min_scalar_type(n - 1)).reshape(len(rows), k)
+    rows = list(itertools.combinations_with_replacement(domain, k))
+    table = np.array(rows, dtype=np.min_scalar_type(max(domain, default=0))).reshape(len(rows), k)
     table.flags.writeable = False
     return table
 
@@ -617,7 +662,8 @@ def check(L: FinLattice, ident: Identity, workers: int = 1, force: bool = False)
     or where the search gave up.  ASSIGNMENT_GUARD then bounds the cells
     left to sweep, unless force is set or the chunk was named.  A chunk
     visits only the non-decreasing values of each run of symmetric
-    variables; assignments still counts all n^v.
+    variables, and a restricted variable (see _restricted_variables) only
+    the values in D(L), as a prefix too; assignments still counts all n^v.
     """
     import numpy as np
     n, v = L.n, len(ident.variables)
@@ -625,23 +671,34 @@ def check(L: FinLattice, ident: Identity, workers: int = 1, force: bool = False)
     c = 0
     while n ** (v - c) > CHUNK_CELLS:
         c += 1
-    # every search shares one budget of total / 1024 pushed states, at most
+    nodes, sides, axes = _compile(ident, c)
+    # the values that each prefix variable and each inner axis sweeps
+    fenced = _domain(L)
+
+    def domain(first: int, k: int = 1):
+        run = (1 << k) - 1 << first
+        return fenced if ident._restricted & run == run else range(n)
+
+    heads = [domain(i) for i in range(c)]
+    bodies = [domain(first, k) for first, k in axes]
+    inner = math.prod(math.comb(len(body) + k - 1, k) for body, (_, k) in zip(bodies, axes))
+    cells = math.prod(map(len, heads)) * inner
+    # every search shares one budget of cells / 1024 pushed states, at most
     # guard / 1024 without force; the min_covers set-up is outside it
-    budget = (total if force else min(total, ASSIGNMENT_GUARD)) >> 10
+    budget = (cells if force else min(cells, ASSIGNMENT_GUARD)) >> 10
     refuted, start = _locate(L, ident, budget, c) if c else (None, ())
     if refuted is False:
         return CheckResult(ident.name, True, None, total)
-    skipped = sum(t * n ** (v - 1 - i) for i, t in enumerate(start))
-    if refuted is None and total - skipped > ASSIGNMENT_GUARD and not force:
+    left = cells - _rank(heads, start) * inner
+    if refuted is None and left > ASSIGNMENT_GUARD and not force:
         raise TermError(
-            f"assignment space {n}^{v} exceeds {ASSIGNMENT_GUARD} and the demand "
+            f"{left} cells left to sweep exceed {ASSIGNMENT_GUARD} and the demand "
             "search gave up; pass force=True to sweep anyway"
         )
-    nodes, sides, axes = _compile(ident, c)
     codes, ops = _encoding(L)
     # each inner variable's axis and codes along it, from its column of the
     # axis's table of non-decreasing tuples
-    tables = [_combinations(n, k) for _, k in axes]
+    tables = [_combinations(body, k) for body, (_, k) in zip(bodies, axes)]
     inner_shape = tuple(len(table) for table in tables)
     columns = {}
     for a, (first, k) in enumerate(axes):
@@ -657,10 +714,10 @@ def check(L: FinLattice, ident: Identity, workers: int = 1, force: bool = False)
                    [None] * len(nodes))
     # results come in prefix order, so the first hit is the least one; one
     # chunk (c == 0, or a refutation located) is not worth a pool
-    flats = ordered_map(_Sweep.scan, sweep, _prefixes(n, c, start),
+    flats = ordered_map(_Sweep.scan, sweep, _prefixes(heads, start),
                         workers if c and refuted is None else 1)
     with closing(flats):
-        for prefix, flat in zip(_prefixes(n, c, start), flats):
+        for prefix, flat in zip(_prefixes(heads, start), flats):
             if flat is not None:
                 tail = np.unravel_index(flat, inner_shape) if inner_shape else ()
                 point = prefix + tuple(int(t) for table, row in zip(tables, tail)
@@ -709,13 +766,43 @@ def _encoding(L: FinLattice):
     return got
 
 
-def _prefixes(n: int, c: int, start: tuple = ()):
-    """The c-tuples over range(n) in lexicographic order, from start + (0, ...) on."""
+# each lattice's _domain, kept as its _encoding is
+_DOMAINS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _domain(L: FinLattice) -> tuple[int, ...]:
+    """D(L), the values a restricted variable takes in the sweep: J(L) and
+    each e with some j in J(L), j <= e, numbered after e, in ascending
+    order.  It is J(L) when the elements are numbered along a linear
+    extension of the order, and empty for the one-element lattice."""
+    got = _DOMAINS.get(L)
+    if got is None:
+        jis = sum(1 << j for j in L.join_irreducibles)
+        # e itself is the only element below e numbered e
+        got = _DOMAINS[L] = tuple(e for e in range(L.n) if (L.down[e] & jis) >> e)
+    return got
+
+
+def _prefixes(domains, start: tuple = ()):
+    """The tuples of product(*domains), each domain ascending, in
+    lexicographic order, from the first not before start + (0, ...) on;
+    start may hold values outside the domains."""
     if not start:
-        yield from itertools.product(range(n), repeat=c)
+        yield from itertools.product(*domains)
         return
-    yield from (start[:1] + rest for rest in _prefixes(n, c - 1, start[1:]))
-    yield from itertools.product(range(start[0] + 1, n), *[range(n)] * (c - 1))
+    if start[0] in domains[0]:
+        yield from (start[:1] + rest for rest in _prefixes(domains[1:], start[1:]))
+    yield from itertools.product([t for t in domains[0] if t > start[0]], *domains[1:])
+
+
+def _rank(domains, start: tuple) -> int:
+    """How many tuples _prefixes(domains) yields before _prefixes(domains, start)."""
+    rank = 0
+    for i, t in enumerate(start):
+        rank += sum(d < t for d in domains[i]) * math.prod(map(len, domains[i + 1:]))
+        if t not in domains[i]:
+            break
+    return rank
 
 
 # -- deciding an identity over the join-irreducibles -------------------------------

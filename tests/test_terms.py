@@ -277,14 +277,16 @@ def test_chunked_path_matches_naive(monkeypatch):
     # runs the slab search (_Demand.refutes) first, at the root and then
     # one prefix variable deeper at a time.  Each pass below hands over to
     # the sweep at another point: a forced give-up at one depth (depth 0
-    # sweeps every case), the real budget of total >> 10 states, which is
-    # tiny here, or no budget at all, so that every refutation descends to
-    # a single chunk and every holding case returns before the sweep
+    # sweeps every case), twice the real budget of cells >> 10 states,
+    # which is tiny here, or no budget at all, so that every refutation
+    # descends to a single chunk and every holding case returns before the
+    # sweep
     real_refutes, real_locate = terms._Demand.refutes, terms._locate
     corpus = [L for size in range(1, 5) for L in lattices_of_size(size)]
     corpus += [pentagon(), diamond()]
     cases = [(L, builtin(name)) for L in corpus for name in builtin_names()]
-    # HS fails here, and the search refutes it within its budget of 16
+    # HS fails here; in chunks of 1 or 7 cells the search refutes it within
+    # twice its budget, 22 states, then gives up one variable deeper
     cases.append((lattices_of_size(7)[5], builtin("HS")))
     refs = [naive_check(L, ident) for L, ident in cases]
     hs_ref = naive_check(diamond(), builtin("HS"))
@@ -293,7 +295,7 @@ def test_chunked_path_matches_naive(monkeypatch):
     located = []
 
     def locate(L, ident, budget, depth=0):
-        located.append(real_locate(L, ident, budget if real_budget else math.inf, depth))
+        located.append(real_locate(L, ident, budget << 1 if real_budget else math.inf, depth))
         return located[-1]
 
     for give_up, real_budget in [(0, True), (None, True), (None, False)] + [
@@ -326,11 +328,17 @@ def test_chunked_path_matches_naive(monkeypatch):
 
 
 def test_sweep_prefixes_start_where_asked():
-    # the sweep's chunk prefixes: every c-tuple from start + (0, ...) on
-    for n, c in ((1, 2), (3, 3), (4, 2)):
-        every = list(itertools.product(range(n), repeat=c))
-        for start in [()] + [p[:d] for p in every for d in range(1, c + 1)]:
-            assert list(terms._prefixes(n, c, start)) == [p for p in every if p >= start]
+    # the sweep's chunk prefixes: every tuple over the domains from start +
+    # (0, ...) on, and how many come before; a start given up by the search
+    # may hold values outside the domains
+    full = [[range(n)] * c for n, c in ((1, 2), (3, 3), (4, 2))]
+    for domains in full + [[(1, 3), range(4), (0, 2, 3)], [(2,), (0, 1)], [(1, 2), ()]]:
+        every = list(itertools.product(*domains))
+        values = range(max(map(max, filter(None, domains))) + 2)
+        for start in [()] + [p for d in range(1, len(domains) + 1)
+                             for p in itertools.product(values, repeat=d)]:
+            assert list(terms._prefixes(domains, start)) == [p for p in every if p >= start]
+            assert terms._rank(domains, start) == sum(p < start for p in every)
 
 
 # Q is the seven-point poset of the (*) construction with 0<a, b<3, a<b and
@@ -363,10 +371,10 @@ def test_least_witnesses_on_co_p_and_co_q(monkeypatch):
         located.append(real_locate(L, ident, budget >> shift, depth))
         return located[-1]
 
-    # the default budget of total >> 10 states locates every witness's
-    # chunk; at total >> 20 some searches give up after descending
+    # the default budget of cells >> 10 states locates every witness's
+    # chunk; at cells >> 18 some searches give up after descending
     monkeypatch.setattr(terms, "_locate", locate)
-    for shift in (0, 10):
+    for shift in (0, 8):
         for lattice, name, witness in CO_P_Q_WITNESSES:
             got = check(co[lattice], builtin(name), force=True)
             assert not got.holds and tuple(got.witness.values()) == witness, name
@@ -378,9 +386,9 @@ def test_least_witnesses_on_co_p_and_co_q(monkeypatch):
 # sha256 of the compact JSON list of [p, q, prefix, result, budget left] for
 # every _Demand.refutes call of check on the identity cases of bench/run.py
 # that reach the search (E, P, HS and STAR on Co(6); STAR, E and HS on
-# Co(Q); P, STAR, E and HS on Co(P)), at the default budget of check and at
-# that budget >> 10, where some searches give up
-PINNED_CHECK_SEARCH = "1f05ab77243fe48794af4865c6c234955b957e2b7819d2aa7695835553fd8006"
+# Co(Q); P, STAR, E and HS on Co(P)), at the default budget of cells >> 10
+# states and at cells >> 20, where some searches give up
+PINNED_CHECK_SEARCH = "b4c947ced7c87d74cf9edd77e77f0781598c30fb8b389810358e7d2417a80862"
 # the same for the calls of _locate with a budget of 64 states, descending
 # through every variable, for E, P, HS and D2DUAL on every lattice of size
 # <= 6.  The search's states, their order and its budget accounting are
@@ -898,15 +906,63 @@ def test_one_inclusion_sweep_matches_naive(cls, data, sides, cells):
 
 def test_assignment_guard(monkeypatch):
     # the guard applies once the search gives up; here it refutes "wide"
-    # and names its one chunk, so the check runs unguarded
+    # and names its one chunk, so the check runs unguarded.  The meets of
+    # adjacent variables leave no two symmetric, and the left side is a
+    # join, so no variable is restricted: the sweep's cells are all 11^9
     L = co_chain(4)
+    xs = [var(f"x{i}") for i in range(9)]
+    pairs = [meet(xs[i], xs[i + 1]) for i in range(8)]
     wide = Identity("wide", tuple(f"x{i}" for i in range(9)), "eq",
-                    join(*(var(f"x{i}") for i in range(9))),
-                    join(*(var(f"x{i}") for i in range(8)), var("x0")))
+                    join(xs[8], *pairs), join(*pairs))
+    assert terms._symmetric_runs(wide) == tuple(range(1, 10)) and not wide._restricted
     assert check(L, wide) == naive_check(L, wide)
     monkeypatch.setattr(terms._Demand, "refutes", lambda *args: None)
     with pytest.raises(TermError):
         check(L, wide)
+
+
+# -- sweeping a restricted variable over D(L) ----------------------------------------
+
+
+def test_restricted_variables():
+    # a direct meetand of every tested left side that no other meetand reads
+    assert {name: builtin(name)._restricted for name in builtin_names()} == \
+        {"E": 1, "P": 1, "HS": 1, "D2DUAL": 1, "STAR": 0}
+    assert all(ident._restricted == (ident.name != "STAR") for ident in builtins_and_inclusions())
+    x, y, z, w = var("x"), var("y"), var("z"), var("w")
+    names = ("x", "y", "z", "w")
+    meets = Identity("meets", names, "leq", meet(x, join(y, z)), join(meet(x, y), meet(x, z)))
+    alone = Identity("alone", names, "leq", x, join(y, z))
+    # x also read inside the other meetand, as in the modular law
+    inside = Identity("inside", names, "leq", meet(x, join(y, meet(x, z))),
+                      join(meet(x, y), meet(x, z)))
+    # both inclusions tested, each left side met with x, or only one
+    both = Identity("both", names, "eq", meet(x, join(y, z)), meet(x, join(y, w)))
+    one = Identity("one", names, "eq", meet(x, join(y, z)), join(y, meet(x, z)))
+    assert len(both._sides[1]) == len(one._sides[1]) == 2
+    assert [ident._restricted for ident in (meets, alone, inside, both, one)] == [1, 1, 0, 1, 0]
+
+
+def reversed_lattice(L):
+    """L with element e numbered n - 1 - e: for n >= 2 not along a linear
+    extension, as the top comes first."""
+    n = L.n
+    return FinLattice(tuple(sum(1 << n - 1 - f for f in range(n) if L.up[e] >> f & 1)
+                            for e in reversed(range(n))))
+
+
+def test_restricted_sweep_matches_naive_when_renumbered(monkeypatch):
+    # numbered in reverse, D(L) holds elements outside J(L), which the first
+    # variable of E, P, HS and D2DUAL still sweeps; at 400 cells a chunk it
+    # is a prefix variable on three or more elements
+    idents = [ident for ident in builtins_and_inclusions() if ident.name != "STAR"]
+    lattices = [reversed_lattice(L) for L in iter_lattices(5)]
+    assert any(set(terms._domain(L)) > set(L.join_irreducibles) for L in lattices)
+    refs = [naive_check(L, ident) for L in lattices for ident in idents]
+    for cells in (terms.CHUNK_CELLS, 400):
+        monkeypatch.setattr(terms, "CHUNK_CELLS", cells)
+        got = [check(L, ident) for L in lattices for ident in idents]
+        assert [(r.holds, r.witness) for r in got] == [(r.holds, r.witness) for r in refs]
 
 
 # -- semantic interpretations ----------------------------------------------------
