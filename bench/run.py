@@ -14,7 +14,10 @@ run ``check`` with one worker and record the verdict: E, P, HS and (*)
 on Co(6), the 22 convex subsets of a 6-element chain, which hold; (*),
 E and HS on the 45-element Co(Q) and P, (*), E and HS on the 31-element
 Co(P), which fail and stop at their least witnesses; and D2DUAL on
-M_40, where the demand search gives up and the sweep decides.  Three
+M_40, where the demand search gives up and the sweep decides.  A cold
+row checks E, P, HS and (*) in turn, each on a Co(6) built for that call
+alone, so the demand search finds none of its minimal covers, widths or
+branch templates kept from an earlier check of the same lattice.  Three
 rows, check(E)@Co(10), check(HS)@Co(10) and check(P)@Co(12), run
 ``check`` at its default budget on Co(2k) for a k-variable identity,
 which holds there iff it holds in all of SUB(LO); all three hold.  The
@@ -163,6 +166,13 @@ def main() -> int:
         rows.append({"case": name, "n": L.n, "vars": len(ident.variables),
                      "holds": result.holds, **times})
         print(f"{name:12s} n={L.n:2d} holds={result.holds!s:5s} median={times['median_s']:7.3f} s")
+    names = ("E", "P", "HS", "STAR")
+    idents = [terms.builtin(name) for name in names]
+    fresh = iter([poset.Poset.chain(6).co_lattice()[0] for _ in range(REPEAT * len(names))])
+    holds, times = timed(lambda: [terms.check(next(fresh), ident, force=True).holds
+                                  for ident in idents])
+    rows.append({"case": "cold E,P,HS,STAR@Co(6)", "n": 22, "holds": holds, **times})
+    print(f"{rows[-1]['case']:24s} holds={holds} median={times['median_s']:7.3f} s")
     for name, k in (("E", 10), ("HS", 10), ("P", 12)):
         L, ident = catalog.co_chain(k), terms.builtin(name)
         result, times = timed(lambda: terms.check(L, ident))

@@ -28,8 +28,8 @@ def _serve(conn, fn, shared) -> None:
 def ordered_map(fn, shared, items, workers: int):
     """Yield fn(shared, item) for each item, in item order.
 
-    workers is capped at os.cpu_count() (1 when unknown): results come in
-    item order at any count, so more workers would only add processes.
+    workers above 1 is capped at os.cpu_count() (1 when unknown): results
+    come in item order at any count, so more workers would only add processes.
     With workers <= 1 after the cap the calls run here, one by one, and
     multiprocessing is not imported.  Otherwise that many forked workers
     run them; fn and shared reach the workers through the fork rather than
@@ -40,7 +40,8 @@ def ordered_map(fn, shared, items, workers: int):
     terminated mid-send cannot leave one held, as it can under
     multiprocessing.Pool.terminate.
     """
-    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         for item in items:
             yield fn(shared, item)

@@ -61,7 +61,7 @@ import operator
 import re
 import weakref
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
 from .depend import is_minimal_in, is_minimal_pair_cover, min_covers, minimal_pairs
@@ -222,7 +222,7 @@ class Identity:
     # one attribute read: the runs of _symmetric_runs, the variables of
     # _restricted_variables, the node list of both terms with their roots and
     # the inclusions to test, _compile's by prefix length, and
-    # _demand_kernel's, generated code that pickling leaves out
+    # _demand_kernel's by right side q, generated code that pickling leaves out
     @cached_property
     def _run_ends(self) -> tuple[int, ...]:
         return _symmetric_runs(self)
@@ -246,7 +246,8 @@ class Identity:
     def _compiled(self) -> dict:
         return {}
 
-    _kernel = cached_property(lambda self: _demand_kernel(self._sides[0][0]))
+    _kernel = cached_property(lambda self: {q: _demand_kernel(self._sides[0][0], q)
+                                            for _, q in self._sides[1]})
 
     def __getstate__(self):
         return {key: got for key, got in self.__dict__.items() if key != "_kernel"}
@@ -727,8 +728,28 @@ def check(L: FinLattice, ident: Identity, workers: int = 1, force: bool = False)
     return CheckResult(ident.name, True, None, total)
 
 
-# each lattice's _encoding, built at its first sweep and dropped with the lattice
-_ENCODINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+@dataclass
+class _Kept:
+    """What checks derive from one lattice and keep until the lattice is
+    dropped: _encoding and _domain, each built at its first use, and the
+    demand search's minimal covers by join-irreducible a, widths by (number
+    of kids, a) and templates by (kids, a), shared by every identity."""
+
+    encoding: tuple | None = None
+    domain: tuple | None = None
+    covers: dict = field(default_factory=dict)
+    widths: dict = field(default_factory=dict)
+    templates: dict = field(default_factory=dict)
+
+
+_KEPT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _kept(L: FinLattice) -> _Kept:
+    got = _KEPT.get(L)
+    if got is None:
+        got = _KEPT[L] = _Kept()
+    return got
 
 
 def _encoding(L: FinLattice):
@@ -741,9 +762,9 @@ def _encoding(L: FinLattice):
     tables at a * n + b.  "raw" is the join without its closure, the join
     itself for element indices.
     """
-    got = _ENCODINGS.get(L)
-    if got is not None:
-        return got
+    kept = _kept(L)
+    if kept.encoding is not None:
+        return kept.encoding
     import numpy as np
     n, jis = L.n, L.join_irreducibles
     if len(jis) <= 16:
@@ -762,12 +783,8 @@ def _encoding(L: FinLattice):
                       None)
                for kind, table in (("join", L.join_table), ("meet", L.meet_table))}
         got = np.arange(n, dtype=dtype), dict(ops, raw=ops["join"])
-    _ENCODINGS[L] = got
+    kept.encoding = got
     return got
-
-
-# each lattice's _domain, kept as its _encoding is
-_DOMAINS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _domain(L: FinLattice) -> tuple[int, ...]:
@@ -775,12 +792,12 @@ def _domain(L: FinLattice) -> tuple[int, ...]:
     each e with some j in J(L), j <= e, numbered after e, in ascending
     order.  It is J(L) when the elements are numbered along a linear
     extension of the order, and empty for the one-element lattice."""
-    got = _DOMAINS.get(L)
-    if got is None:
+    kept = _kept(L)
+    if kept.domain is None:
         jis = sum(1 << j for j in L.join_irreducibles)
         # e itself is the only element below e numbered e
-        got = _DOMAINS[L] = tuple(e for e in range(L.n) if (L.down[e] & jis) >> e)
-    return got
+        kept.domain = tuple(e for e in range(L.n) if (L.down[e] & jis) >> e)
+    return kept.domain
 
 
 def _prefixes(domains, start: tuple = ()):
@@ -841,15 +858,37 @@ def _free_leq(nodes, s: int, t: int, memo: dict) -> bool:
             return got
 
 
-def _demand_kernel(nodes):
-    """_Demand's node update, generated for one node list: bind(join, meet)
-    gives update(v, d), which recomputes in place, children first, the value
-    in v of each operation node (two or more children) that reads a variable in d.
-    One lookup per statement, as nested ones overflow the parser on wide
-    nodes.  The source holds only integers and fixed names: the masks, at
-    times too long to print, are read from S."""
-    lines = ["def bind(join, meet, S=S):", " def update(v, d):", "  pass"]
-    for k, (kind, kids, _, _) in enumerate(nodes):
+def _demand_kernel(nodes, q: int):
+    """_Demand's node update, generated for one node list and the right side
+    q of one tested inclusion: bind(join, meet) gives update(v, d, stop),
+    which recomputes in place, children first, the value in v of each
+    operation node (two or more children) that reads a variable in d.  The
+    tops of q are its joinands, or q itself when q is not a join.  Each top's
+    subtree comes first, top by top, then the rest of the nodes; after a top
+    is recomputed, update returns True at once if bit v[top] of stop is set.
+    _Demand passes up[j] for the bar (q, j): then j <= v[top] <= q(x), and the
+    state breaks that bar.  One lookup per statement, as nested ones overflow
+    the parser on wide nodes.  The source holds only integers and fixed
+    names: the masks, at times too long to print, are read from S."""
+    kind, kids, _, _ = nodes[q]
+    tops = kids if kind == "join" else (q,)
+    order, emitted = [], bytearray(len(nodes))
+    for top in tops:
+        # top's subtree less what earlier tops placed, on an explicit stack;
+        # ascending indices put children first
+        block, stack = [], [top]
+        while stack:
+            k = stack.pop()
+            if not emitted[k]:
+                emitted[k] = 1
+                block.append(k)
+                stack.extend(nodes[k][1])
+        order += sorted(block)
+    order += [k for k in range(len(nodes)) if not emitted[k]]
+    lines = ["def bind(join, meet, S=S):", " def update(v, d, stop):", "  pass"]
+    checked = set(tops)
+    for k in order:
+        kind, kids, _, _ = nodes[k]
         if kind != "var":
             acc = f"{kind}[v[{kids[0]}]][v[{kids[1]}]]"
             lines.append(f"  if d & S[{k}]:")
@@ -857,6 +896,9 @@ def _demand_kernel(nodes):
                 lines.append(f"   a = {acc}")
                 acc = f"{kind}[a][v[{c}]]"
             lines.append(f"   v[{k}] = {acc}")
+            if k in checked:
+                lines.append(f"   if stop >> v[{k}] & 1:")
+                lines.append("    return True")
     scope = {"S": tuple(node[3] for node in nodes)}
     exec("\n".join(lines + [" return update"]), scope)
     return scope["bind"]
@@ -886,53 +928,56 @@ class _Demand:
 
     What a branch adds to its state depends on its join goal alone, so
     each goal's width and its branches, a template of (goals, bars)
-    pairs, are built once per search; the template only once the budget
-    has paid for it, since a goal can have thousands of branches (an
-    atom of M_40).  The node update is the identity's _demand_kernel, bound
-    here to L's tables.  Neither changes the states, the order they are
+    pairs, are built once per lattice (see _Kept) and shared by every
+    identity; the template only once the budget has paid for it, since a
+    goal can have thousands of branches (an atom of M_40).  The node update
+    is the identity's _demand_kernel for q, bound here to L's tables; it
+    stops at the first top of q that breaks the bar (q, j), a state the bar
+    check would prune.  Neither changes the states, the order they are
     pushed in or what the budget is charged.
     """
 
     def __init__(self, L: FinLattice, ident: Identity, budget):
         self.L, self.nodes, self.budget = L, ident._sides[0][0], budget
-        self.update = ident._kernel(L.join_table, L.meet_table)
+        self.updates = {q: bind(L.join_table, L.meet_table) for q, bind in ident._kernel.items()}
         self.var_values = operator.itemgetter(*[k for k, node in enumerate(self.nodes)
                                                 if node[0] == "var"])
-        self.widths: dict[tuple, int] = {}
-        self.templates: dict[tuple, list] = {}
-        self.covers: dict[int, list] = {}
+        self.kept = _kept(L)
 
     def width(self, goal: tuple) -> int:
         """How many branches the open join goal (k, a) makes: the length
         of its template, counted without building it."""
-        got = self.widths.get(goal)
+        k, a = goal
+        m = len(self.nodes[k][1])
+        widths = self.kept.widths
+        got = widths.get((m, a))
         if got is None:
-            m = len(self.nodes[goal[0]][1])
-            got = self.widths[goal] = m + sum(m ** len(cover) - m
-                                              for cover in self.min_covers(goal[1]))
+            got = widths[m, a] = m + sum(m ** len(cover) - m for cover in self.min_covers(a))
         return got
 
     def template(self, goal: tuple) -> list:
         """The goals and bars that each branch on the open join goal (k, a)
         adds to its state: the one-child branches, then every spread of
         every minimal cover over two or more children."""
-        got = self.templates.get(goal)
+        k, a = goal
+        kids = self.nodes[k][1]
+        templates = self.kept.templates
+        got = templates.get((kids, a))
         if got is None:
-            k, a = goal
-            kids = self.nodes[k][1]
             barred = tuple((d, a) for d in kids)
             got = [([(c, a)], barred[:i]) for i, c in enumerate(kids)]
             for cover in self.min_covers(a):
                 got.extend((list(zip(spread, cover)), barred)
                            for spread in itertools.product(kids, repeat=len(cover))
                            if len(set(spread)) > 1)
-            self.templates[goal] = got
+            templates[kids, a] = got
         return got
 
     def min_covers(self, a: int) -> list:
-        got = self.covers.get(a)
+        covers = self.kept.covers
+        got = covers.get(a)
         if got is None:
-            got = self.covers[a] = min_covers(self.L, a)
+            got = covers[a] = min_covers(self.L, a)
         return got
 
     def refutes(self, p: int, q: int, prefix: tuple = ()) -> bool | None:
@@ -941,12 +986,13 @@ class _Demand:
         a state whose goals would raise one is pruned: on the branch below
         a failing x every goal on them is already met, so it stays exact.
         """
-        up, jt, nodes, update = self.L.up, self.L.join_table, self.nodes, self.update
+        up, jt, nodes, update = self.L.up, self.L.join_table, self.nodes, self.updates[q]
         fixed = (1 << len(prefix)) - 1
         base = [prefix[vi] if 0 <= vi < len(prefix) else self.L.bottom for _, _, vi, _ in nodes]
-        update(base, -1)
+        update(base, -1, 0)
         for j in self.L.join_irreducibles:
-            if up[j] >> base[q] & 1:
+            stop = up[j]
+            if stop >> base[q] & 1:
                 continue                  # j <= q(base) <= q(x) for every x
             stack = [(base, [(p, j)], ((q, j),))]
             seen = set()
@@ -969,13 +1015,14 @@ class _Demand:
                         values[k] = jt[values[k]][a]
                 if dirty and not dirty & fixed:
                     # a branch's new bars hold at its parent's values, so
-                    # only a state that raised a variable can break one
-                    update(values, dirty)
-                    for k, a in bars:
-                        if up[a] >> values[k] & 1:
-                            break
-                    else:
-                        dirty = 0
+                    # only a state that raised a variable can break one; the
+                    # update returns True as soon as it breaks (q, j)
+                    if not update(values, dirty, stop):
+                        for k, a in bars:
+                            if up[a] >> values[k] & 1:
+                                break
+                        else:
+                            dirty = 0
                 if dirty:
                     continue              # it raised a fixed variable or broke a bar
                 joins = [(k, a) for k, a in joins if not up[a] >> values[k] & 1]

@@ -7,12 +7,14 @@ counter-assignment gets reported.
 
 import collections
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
 import math
 import pickle
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -685,17 +687,37 @@ def test_term_nodes_and_runs_pinned():
 
 
 def assert_kernel_is_loop(L, ident, masks, rng):
-    """The identity's generated node update gives the values of the plain
-    loop oracles.demand_update on L for each dirty mask, each from random
-    values at every node."""
-    nodes = ident._sides[0][0]
-    update = ident._kernel(L.join_table, L.meet_table)
-    for dirty in masks:
-        got = [rng.randrange(L.n) for _ in nodes]
-        want = got[:]
-        update(got, dirty)
-        demand_update(L, nodes, want, dirty)
-        assert got == want, (ident, L.up, dirty)
+    """The node update generated for either side of the identity as q
+    matches the plain loop oracles.demand_update on L for each dirty mask,
+    each from random values at every node.  With stop = 0 or up[j] for j in
+    J(L), it returns True iff j lies below a recomputed top of q (a joinand,
+    or q itself when q is not a join) at the loop's values, and otherwise
+    leaves the loop's values."""
+    assert_kernels_are_loop([L], ident, masks, rng)
+
+
+def assert_kernels_are_loop(lattices, ident, masks, rng):
+    """assert_kernel_is_loop on each lattice in turn, generating each update once."""
+    nodes, lhs, rhs = ident._sides[0]
+    kernels = []
+    for q in dict.fromkeys((lhs, rhs)):
+        kind, kids, _, _ = nodes[q]
+        tops = [c for c in (kids if kind == "join" else (q,)) if nodes[c][0] != "var"]
+        kernels.append((q, tops, terms._demand_kernel(nodes, q)))
+    for L in lattices:
+        stops = [0, *(L.up[j] for j in L.join_irreducibles)]
+        updates = [(q, tops, bind(L.join_table, L.meet_table)) for q, tops, bind in kernels]
+        for dirty in masks:
+            start = [rng.randrange(L.n) for _ in nodes]
+            want = start[:]
+            demand_update(L, nodes, want, dirty)
+            for q, tops, update in updates:
+                redone = [c for c in tops if nodes[c][3] & dirty]
+                for stop in stops:
+                    got = start[:]
+                    broke = any(stop >> want[c] & 1 for c in redone)
+                    assert bool(update(got, dirty, stop)) == broke, (ident, L.up, q, dirty, stop)
+                    assert broke or got == want, (ident, L.up, q, dirty, stop)
 
 
 def test_demand_kernel_matches_reference_update():
@@ -705,8 +727,7 @@ def test_demand_kernel_matches_reference_update():
     idents += [random_identity(rng) for _ in range(500)]
     lattices = [co_chain(4), pentagon(), *lattices_of_size(5)]
     for ident in idents:
-        for L in lattices:
-            assert_kernel_is_loop(L, ident, range(-1, 1 << len(ident.variables)), values)
+        assert_kernels_are_loop(lattices, ident, range(-1, 1 << len(ident.variables)), values)
 
 
 def test_demand_search_on_edge_identities():
@@ -739,6 +760,54 @@ def test_demand_search_on_edge_identities():
     rng = random.Random(3)
     for ident in [deep, wide, far, *odd]:
         assert_kernel_is_loop(L, ident, (-1, 1, 2, 1 << 14999), rng)
+
+
+def test_kept_lattice_data_dies_with_the_lattice():
+    # the encoding, the domain, and the demand search's covers, widths and
+    # templates are kept for a lattice only while something else holds it
+    L = co_chain(4)
+    check(L, builtin("E"))
+    decide_identity(L, builtin("P"))
+    kept = terms._KEPT[L]
+    assert kept.encoding and kept.domain and kept.covers and kept.widths and kept.templates
+    lattice_ref, kept_ref = weakref.ref(L), weakref.ref(kept)
+    del L, kept
+    gc.collect()
+    assert lattice_ref() is None and kept_ref() is None
+
+
+def test_shared_templates_give_the_same_search(monkeypatch):
+    # P and HS, and E and (*), build templates of the same (kids, a); each
+    # search on a lattice where the other one ran first makes the same
+    # refutes calls, with the same results and budget, as on a fresh copy
+    real_refutes = terms._Demand.refutes
+    calls = []
+
+    def refutes(self, p, q, prefix=()):
+        got = real_refutes(self, p, q, prefix)
+        calls.append((p, q, prefix, got, self.budget))
+        return got
+
+    monkeypatch.setattr(terms._Demand, "refutes", refutes)
+
+    def search(L, ident):
+        calls.clear()
+        terms._locate(L, ident, 256, len(ident.variables))
+        return calls[:]
+
+    shared, results = 0, set()
+    for L in iter_lattices(6):
+        for first, then in (("P", "HS"), ("HS", "P"), ("E", "STAR"), ("STAR", "E")):
+            ident = builtin(then)
+            fresh = FinLattice(L.up)
+            want = search(fresh, ident)
+            reused = FinLattice(L.up)
+            search(reused, builtin(first))
+            built = set(terms._KEPT[reused].templates)
+            assert search(reused, ident) == want, (first, then, L.up)
+            shared += len(built & set(terms._KEPT[fresh].templates))
+            results.update(got for *_, got, _ in want)
+    assert shared and results == {True, False, None}
 
 
 def test_identity_pickles_after_a_demand_search():
