@@ -166,9 +166,8 @@ def main() -> int:
         rows.append({"case": name, "n": L.n, "vars": len(ident.variables),
                      "holds": result.holds, **times})
         print(f"{name:12s} n={L.n:2d} holds={result.holds!s:5s} median={times['median_s']:7.3f} s")
-    names = ("E", "P", "HS", "STAR")
-    idents = [terms.builtin(name) for name in names]
-    fresh = iter([poset.Poset.chain(6).co_lattice()[0] for _ in range(REPEAT * len(names))])
+    idents = [terms.builtin(name) for name in ("E", "P", "HS", "STAR")]
+    fresh = iter([poset.Poset.chain(6).co_lattice()[0] for _ in range(REPEAT * len(idents))])
     holds, times = timed(lambda: [terms.check(next(fresh), ident, force=True).holds
                                   for ident in idents])
     rows.append({"case": "cold E,P,HS,STAR@Co(6)", "n": 22, "holds": holds, **times})
