@@ -23,7 +23,7 @@ from .lattice import (
     monolith,
 )
 from .membership import decide_sub_lo
-from .poset import Poset, PosetError
+from .poset import Poset, convex_bound
 
 
 def _generators(tag: str, params: tuple[int, ...]) -> tuple[int, ...]:
@@ -57,14 +57,13 @@ def _catalog_target(tag: str, params: tuple[int, ...]) -> tuple[FinLattice, tupl
     Every catalog lattice is built here, once per tag and params; callers
     share the result and never write to it.  Its elements are the convex
     subsets of the chain that are unions of generator masks.  The
-    16-element bound of Poset.convex_sets is checked before the chain is
-    built, which alone takes seconds at a few thousand elements.  The
+    bound of Poset.convex_sets is checked before the chain is built,
+    which alone takes seconds at a few thousand elements.  The
     restriction of an order to a subset is an order, so it is not
     re-validated.
     """
     gens = _generators(tag, params)
-    if len(gens) > 16:
-        raise PosetError("convex-set enumeration limited to 16 elements")
+    convex_bound(len(gens))
     T, masks = Poset.chain(len(gens)).co_lattice()
     keep = [e for e, s in enumerate(masks)
             if s == reduce(or_, (g for g in gens if g & ~s == 0), 0)]

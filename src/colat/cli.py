@@ -39,7 +39,7 @@ from .membership import (
     decide_sub_n,
     verify_certificate,
 )
-from .poset import Poset, poset_from_json
+from .poset import Poset, convex_bound, poset_from_json
 from .project import retract_section
 from .star import search_pq, verify_separation, witness_to_json
 from .terms import builtin, builtin_names, check, check_sigma, identity_from_json
@@ -82,7 +82,11 @@ class _Inputs:
         return _loaded(lattice_from_json, self.json(path))
 
     def poset(self, path: str) -> Poset:
-        return _loaded(poset_from_json, self.json(path))
+        # Co(P) is built: refuse a large poset before closing its order
+        data = self.json(path)
+        if isinstance(data, dict) and isinstance(data.get("elements"), list):
+            convex_bound(len(data["elements"]))
+        return _loaded(poset_from_json, data)
 
     def identity(self, name: str):
         """A builtin by name, else an identity file, digested like any input."""

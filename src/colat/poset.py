@@ -11,6 +11,12 @@ class PosetError(ValueError):
     """Raised when input data does not describe a poset."""
 
 
+def convex_bound(n: int) -> None:
+    """Refuse more than 16 elements: Poset.convex_sets tries all 2^n subsets."""
+    if n > 16:
+        raise PosetError("convex-set enumeration limited to 16 elements")
+
+
 class Poset:
     """Finite poset on elements 0..n-1 with string labels.
 
@@ -89,8 +95,7 @@ class Poset:
 
     def convex_sets(self) -> list[int]:
         """All order-convex subsets as bitmasks, ascending. Guarded for size."""
-        if self.n > 16:
-            raise PosetError("convex-set enumeration limited to 16 elements")
+        convex_bound(self.n)
         out = []
         for mask in range(1 << self.n):
             if self.is_convex(mask):

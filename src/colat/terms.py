@@ -44,13 +44,13 @@ visiting the assignments one by one: decide_identity runs a demand
 search (see _Demand) on each inclusion that Whitman's algorithm does not
 already prove for every lattice.  check runs it first when its sweep
 would need more than one chunk.  "Holds" returns at once; after "fails"
-the search fixes the prefix variables one at a time, skipping each slab
-of assignments it proves clean, until it names the chunk of the least
-witness.  The sweep starts at that chunk, or at the deepest prefix
-reached when the shared budget runs out: 1/1024 of the cells that the
-sweep would visit, counted with the runs and D(L).  The sweep alone
-produces witnesses, and every check of at most CHUNK_CELLS assignments
-is swept directly.
+the search fixes the prefix variables one at a time, trying the values
+of each variable's sweep domain and skipping each slab of assignments it
+proves clean, until it names the chunk of the least witness.  The sweep
+starts at that chunk, or at the deepest prefix reached when the shared
+budget runs out: 1/1024 of the cells that the sweep would visit,
+counted with the runs and D(L).  The sweep alone produces witnesses,
+and every check of at most CHUNK_CELLS assignments is swept directly.
 """
 
 from __future__ import annotations
@@ -657,14 +657,15 @@ def check(L: FinLattice, ident: Identity, workers: int = 1, force: bool = False)
 
     The reported witness is the lexicographically least
     counter-assignment in the declared variable order, independent of
-    worker count.  A check of more than one chunk first runs the
-    demand search of _locate, which returns "holds" without sweeping or
-    names the chunk of the least witness; the sweep starts at that chunk,
-    or where the search gave up.  ASSIGNMENT_GUARD then bounds the cells
-    left to sweep, unless force is set or the chunk was named.  A chunk
-    visits only the non-decreasing values of each run of symmetric
-    variables, and a restricted variable (see _restricted_variables) only
-    the values in D(L), as a prefix too; assignments still counts all n^v.
+    worker count.  A check of more than one chunk first runs the demand
+    search of _locate over the sweep's chunk prefixes, which returns
+    "holds" without sweeping or names the chunk of the least witness; the
+    sweep starts at that chunk, or where the search gave up.
+    ASSIGNMENT_GUARD then bounds the cells left to sweep, unless force is
+    set or the chunk was named.  A chunk visits only the non-decreasing
+    values of each run of symmetric variables, and a restricted variable
+    (see _restricted_variables) only the values in D(L), as a prefix too;
+    assignments still counts all n^v.
     """
     import numpy as np
     n, v = L.n, len(ident.variables)
@@ -687,10 +688,11 @@ def check(L: FinLattice, ident: Identity, workers: int = 1, force: bool = False)
     # every search shares one budget of cells / 1024 pushed states, at most
     # guard / 1024 without force; the min_covers set-up is outside it
     budget = (cells if force else min(cells, ASSIGNMENT_GUARD)) >> 10
-    refuted, start = _locate(L, ident, budget, c) if c else (None, ())
+    refuted, start = _locate(L, ident, budget, heads) if c else (None, ())
     if refuted is False:
         return CheckResult(ident.name, True, None, total)
-    left = cells - _rank(heads, start) * inner
+    rank = _rank(heads, start)
+    left = cells - rank * inner
     if refuted is None and left > ASSIGNMENT_GUARD and not force:
         raise TermError(
             f"{left} cells left to sweep exceed {ASSIGNMENT_GUARD} and the demand "
@@ -715,10 +717,10 @@ def check(L: FinLattice, ident: Identity, workers: int = 1, force: bool = False)
                    [None] * len(nodes))
     # results come in prefix order, so the first hit is the least one; one
     # chunk (c == 0, or a refutation located) is not worth a pool
-    flats = ordered_map(_Sweep.scan, sweep, _prefixes(heads, start),
-                        workers if c and refuted is None else 1)
+    prefixes, sent = itertools.tee(itertools.islice(itertools.product(*heads), rank, None))
+    flats = ordered_map(_Sweep.scan, sweep, sent, workers if c and refuted is None else 1)
     with closing(flats):
-        for prefix, flat in zip(_prefixes(heads, start), flats):
+        for prefix, flat in zip(prefixes, flats):
             if flat is not None:
                 tail = np.unravel_index(flat, inner_shape) if inner_shape else ()
                 point = prefix + tuple(int(t) for table, row in zip(tables, tail)
@@ -800,26 +802,10 @@ def _domain(L: FinLattice) -> tuple[int, ...]:
     return kept.domain
 
 
-def _prefixes(domains, start: tuple = ()):
-    """The tuples of product(*domains), each domain ascending, in
-    lexicographic order, from the first not before start + (0, ...) on;
-    start may hold values outside the domains."""
-    if not start:
-        yield from itertools.product(*domains)
-        return
-    if start[0] in domains[0]:
-        yield from (start[:1] + rest for rest in _prefixes(domains[1:], start[1:]))
-    yield from itertools.product([t for t in domains[0] if t > start[0]], *domains[1:])
-
-
 def _rank(domains, start: tuple) -> int:
-    """How many tuples _prefixes(domains) yields before _prefixes(domains, start)."""
-    rank = 0
-    for i, t in enumerate(start):
-        rank += sum(d < t for d in domains[i]) * math.prod(map(len, domains[i + 1:]))
-        if t not in domains[i]:
-            break
-    return rank
+    """The index in product(*domains) of the first tuple that starts with start."""
+    return sum(d.index(t) * math.prod(map(len, domains[i + 1:]))
+               for i, (d, t) in enumerate(zip(domains, start)))
 
 
 # -- deciding an identity over the join-irreducibles -------------------------------
@@ -1045,16 +1031,18 @@ class _Demand:
 
 
 def _locate(L: FinLattice, ident: Identity, budget,
-            depth: int = 0) -> tuple[bool | None, tuple[int, ...]]:
+            heads=()) -> tuple[bool | None, tuple[int, ...]]:
     """Find with the demand search the slab of ident's least counter-assignment.
 
     A slab is the assignments that start with a prefix.  After "fails" at
-    the root the search descends up to depth variables, at each keeping
-    the first value whose slab it does not prove clean, all on one
-    budget.  Returns (refuted, start): True when the least
-    counter-assignment starts with start, of length depth; False when
-    ident holds; None when the budget runs out.  No assignment before
-    start + (0, ...) fails.  Each inclusion that Whitman's algorithm
+    the root the search descends one variable per domain of heads, all on
+    one budget, keeping at each the first value whose slab it does not
+    prove clean, or the last, unsearched, once all others are.  Returns
+    (refuted, start): True when the least counter-assignment starts with
+    start, of length len(heads); False when ident holds; None when the
+    budget runs out.  No assignment before start + (first values ...)
+    fails: check's heads leave out only values that _restricted_variables
+    lowers to earlier ones.  Each inclusion that Whitman's algorithm
     proves for every lattice is skipped (rhs <= lhs for E, P, HS, D2DUAL).
     """
     search = _Demand(L, ident, budget)
@@ -1067,14 +1055,16 @@ def _locate(L: FinLattice, ident: Identity, budget,
         return False
 
     refuted, start = refutes(()), ()
-    while refuted and len(start) < depth:
-        for t in range(L.n - 1):
+    for domain in heads:
+        if not refuted:
+            break
+        for t in domain[:-1]:
             refuted = refutes(start + (t,))
             if refuted is not False:
                 break
         else:
             # start's slab fails and every other value's slab was proved clean
-            t, refuted = L.n - 1, True
+            t, refuted = domain[-1], True
         start += (t,)
     return refuted, start
 

@@ -125,6 +125,20 @@ class TestCoAndCatalog:
         assert proc.stdout == ""
         assert proc.stderr == "error: convex-set enumeration limited to 16 elements\n"
 
+    @pytest.mark.parametrize("command", ["co", "verify-separation"])
+    def test_poset_bound_checked_first(self, tmp_path, capsys, monkeypatch, command):
+        # the element count is refused before the order is closed, which
+        # takes minutes for a chain of a few thousand elements
+        def closed(*args):
+            raise AssertionError("the order was closed")
+
+        monkeypatch.setattr("colat.poset._transitive_close", closed)
+        path = tmp_path / "chain.json"
+        labels = [str(i) for i in range(17)]
+        path.write_text(json.dumps({"elements": labels, "covers": list(zip(labels, labels[1:]))}))
+        rc, out, err = run(capsys, command, *[str(path)] * (1 if command == "co" else 2))
+        assert (rc, out, err) == (2, "", "error: convex-set enumeration limited to 16 elements\n")
+
     def test_only_a_sweep_loads_numpy(self, tmp_path):
         # numpy loads at the first sweep and multiprocessing with a worker
         # pool, so import and the commands that run neither load them;

@@ -82,7 +82,7 @@ def test_proved_rechecks_gone(message):
 
 def test_no_term_walk_recurses():
     # every walk over a term loops over _flatten's list or an explicit stack,
-    # so depth costs no recursion; _prefixes recurses once per prefix variable
+    # so depth costs no recursion
     tree = ast.parse((SOURCES[0].parent / "terms.py").read_text())
     methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
     recursive = set()
@@ -93,7 +93,7 @@ def test_no_term_walk_recurses():
             if any(isinstance(call, ast.Call) and ast.unparse(call.func) == own
                    for call in ast.walk(f)):
                 recursive.add(f.name)
-    assert recursive == {"_prefixes"}
+    assert recursive == set()
 
 
 def test_lambda_conditions_name_no_family():

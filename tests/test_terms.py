@@ -263,10 +263,27 @@ def test_workers_do_not_change_result():
             assert (one.holds, one.witness) == (many.holds, many.witness)
 
 
+def spy_locate(monkeypatch, budget):
+    """Route check's _locate through a spy that passes it budget(b) for
+    check's budget b, and return the list of (refuted, start, heads) that
+    the calls give, in call order."""
+    real_locate, located = terms._locate, []
+
+    def locate(L, ident, b, heads=()):
+        located.append((*real_locate(L, ident, budget(b), heads), heads))
+        return located[-1][:2]
+
+    monkeypatch.setattr(terms, "_locate", locate)
+    return located
+
+
 def located_before(located, ref) -> bool:
-    """Whether _locate's (refuted, start) agrees with the least witness:
-    none lies before start + (0, ...), and a refutation names its prefix."""
-    refuted, start = located
+    """Whether a spied _locate call agrees with the least witness: each
+    value of start lies in its domain of heads, none lies before start +
+    (first values ...), and a refutation names its prefix."""
+    refuted, start, heads = located
+    if not all(t in domain for t, domain in zip(start, heads)):
+        return False
     if ref.holds:
         return refuted is not True
     witness = tuple(ref.witness.values())
@@ -283,7 +300,7 @@ def test_chunked_path_matches_naive(monkeypatch):
     # which is tiny here, or no budget at all, so that every refutation
     # descends to a single chunk and every holding case returns before the
     # sweep
-    real_refutes, real_locate = terms._Demand.refutes, terms._locate
+    real_refutes = terms._Demand.refutes
     corpus = [L for size in range(1, 5) for L in lattices_of_size(size)]
     corpus += [pentagon(), diamond()]
     cases = [(L, builtin(name)) for L in corpus for name in builtin_names()]
@@ -294,12 +311,7 @@ def test_chunked_path_matches_naive(monkeypatch):
     hs_ref = naive_check(diamond(), builtin("HS"))
     outcomes = collections.Counter()
     gave_up = set()
-    located = []
-
-    def locate(L, ident, budget, depth=0):
-        located.append(real_locate(L, ident, budget << 1 if real_budget else math.inf, depth))
-        return located[-1]
-
+    located = spy_locate(monkeypatch, lambda b: b << 1 if real_budget else math.inf)
     for give_up, real_budget in [(0, True), (None, True), (None, False)] + [
             (d, False) for d in range(1, 6)]:
         def refutes(self, p, q, prefix=(), give_up=give_up):
@@ -311,7 +323,6 @@ def test_chunked_path_matches_naive(monkeypatch):
             return got
 
         monkeypatch.setattr(terms._Demand, "refutes", refutes)
-        monkeypatch.setattr(terms, "_locate", locate)
         for cells in (1, 7, 400):
             monkeypatch.setattr(terms, "CHUNK_CELLS", cells)
             for (L, ident), ref in zip(cases, refs):
@@ -330,17 +341,18 @@ def test_chunked_path_matches_naive(monkeypatch):
 
 
 def test_sweep_prefixes_start_where_asked():
-    # the sweep's chunk prefixes: every tuple over the domains from start +
-    # (0, ...) on, and how many come before; a start given up by the search
-    # may hold values outside the domains
+    # the sweep's chunk prefixes: every tuple over the domains from the first
+    # that starts with start on, skipped to by _rank; _locate takes each value
+    # of start from its domain
     full = [[range(n)] * c for n, c in ((1, 2), (3, 3), (4, 2))]
     for domains in full + [[(1, 3), range(4), (0, 2, 3)], [(2,), (0, 1)], [(1, 2), ()]]:
         every = list(itertools.product(*domains))
-        values = range(max(map(max, filter(None, domains))) + 2)
         for start in [()] + [p for d in range(1, len(domains) + 1)
-                             for p in itertools.product(values, repeat=d)]:
-            assert list(terms._prefixes(domains, start)) == [p for p in every if p >= start]
-            assert terms._rank(domains, start) == sum(p < start for p in every)
+                             for p in itertools.product(*domains[:d])]:
+            rank = terms._rank(domains, start)
+            assert rank == sum(p < start for p in every)
+            assert (list(itertools.islice(itertools.product(*domains), rank, None))
+                    == [p for p in every if p >= start])
 
 
 # Q is the seven-point poset of the (*) construction with 0<a, b<3, a<b and
@@ -366,23 +378,16 @@ def co_p_and_q() -> dict:
 def test_least_witnesses_on_co_p_and_co_q(monkeypatch):
     co = co_p_and_q()
     assert (co["P"].n, co["Q"].n) == (31, 45)
-    real_locate = terms._locate
-    located = []
-
-    def locate(L, ident, budget, depth=0):
-        located.append(real_locate(L, ident, budget >> shift, depth))
-        return located[-1]
-
     # the default budget of cells >> 10 states locates every witness's
     # chunk; at cells >> 18 some searches give up after descending
-    monkeypatch.setattr(terms, "_locate", locate)
+    located = spy_locate(monkeypatch, lambda b: b >> shift)
     for shift in (0, 8):
         for lattice, name, witness in CO_P_Q_WITNESSES:
             got = check(co[lattice], builtin(name), force=True)
             assert not got.holds and tuple(got.witness.values()) == witness, name
             assert located_before(located[-1], got)
-    assert all(refuted for refuted, _ in located[:7]), located
-    assert any(refuted is None and start for refuted, start in located[7:]), located
+    assert all(refuted for refuted, *_ in located[:7]), located
+    assert any(refuted is None and start for refuted, start, _ in located[7:]), located
 
 
 # sha256 of the compact JSON list of [p, q, prefix, result, budget left] for
@@ -390,11 +395,11 @@ def test_least_witnesses_on_co_p_and_co_q(monkeypatch):
 # that reach the search (E, P, HS and STAR on Co(6); STAR, E and HS on
 # Co(Q); P, STAR, E and HS on Co(P)), at the default budget of cells >> 10
 # states and at cells >> 20, where some searches give up
-PINNED_CHECK_SEARCH = "b4c947ced7c87d74cf9edd77e77f0781598c30fb8b389810358e7d2417a80862"
+PINNED_CHECK_SEARCH = "9cd171f65e4195182bf8589884011b975359e2f09850e90cc2e4ee26e512a167"
 # the same for the calls of _locate with a budget of 64 states, descending
-# through every variable, for E, P, HS and D2DUAL on every lattice of size
-# <= 6.  The search's states, their order and its budget accounting are
-# all behind the two
+# through every variable over all its values, for E, P, HS and D2DUAL on
+# every lattice of size <= 6.  The search's states, their order and its
+# budget accounting are all behind the two
 PINNED_LOCATE_SEARCH = "b7e007a5281c39ca770426d4a3369329f2a831bf715206cfa3937cd29b3180b1"
 
 
@@ -407,11 +412,8 @@ def test_demand_search_path_pinned(monkeypatch):
         calls.append([p, q, list(prefix), got, self.budget])
         return got
 
-    def locate(L, ident, budget, depth=0):
-        return real_locate(L, ident, budget >> shift, depth)
-
     monkeypatch.setattr(terms._Demand, "refutes", refutes)
-    monkeypatch.setattr(terms, "_locate", locate)
+    spy_locate(monkeypatch, lambda b: b >> shift)
     co = dict(co_p_and_q(), **{"6": co_chain(6)})
     cases = [("6", "E"), ("6", "P"), ("6", "HS"), ("6", "STAR"), ("Q", "STAR"), ("Q", "E"),
              ("Q", "HS"), ("P", "P"), ("P", "STAR"), ("P", "E"), ("P", "HS")]
@@ -422,7 +424,7 @@ def test_demand_search_path_pinned(monkeypatch):
     for L in iter_lattices(6):
         for name in ("E", "P", "HS", "D2DUAL"):
             ident = builtin(name)
-            real_locate(L, ident, 64, len(ident.variables))
+            real_locate(L, ident, 64, [range(L.n)] * len(ident.variables))
     # both parts refute, prove clean and give up
     hashes = []
     for part in (calls[:bench], calls[bench:]):
@@ -486,10 +488,13 @@ def test_sweep_encoding_boundaries(monkeypatch):
 
 def test_locate_infers_the_last_value(monkeypatch):
     # with one-cell chunks _locate walks both variables of x <= y on the
-    # 2-element chain: x = 0 is proved clean, so the failing slab is x = 1,
-    # taken without searching (1,), and y = 0 is then searched and refuted
+    # 2-element chain.  x is restricted, and its domain D(L) = {1} has one
+    # value, so the failing slab is x = 1, taken without searching; y = 0 is
+    # then searched and refuted.  In x ^ (x v y) <= y the other meetand reads
+    # x too, so x sweeps both values: x = 0 is proved clean, and x = 1
+    # is again taken without searching
     L = chain_lattice(2)
-    below = Identity("below", ("x", "y"), "leq", var("x"), var("y"))
+    x, y = var("x"), var("y")
     asked = []
     refutes = terms._Demand.refutes
 
@@ -499,10 +504,14 @@ def test_locate_infers_the_last_value(monkeypatch):
 
     monkeypatch.setattr(terms._Demand, "refutes", spy)
     monkeypatch.setattr(terms, "CHUNK_CELLS", 1)
-    got = check(L, below)
-    assert asked == [((), True), ((0,), False), ((1, 0), True)]
-    assert got == naive_check(L, below)
-    assert got.witness == {"x": 1, "y": 0}
+    for lhs, walk in ((x, [((), True), ((1, 0), True)]),
+                      (meet(x, join(x, y)), [((), True), ((0,), False), ((1, 0), True)])):
+        below = Identity("below", ("x", "y"), "leq", lhs, y)
+        asked.clear()
+        got = check(L, below)
+        assert asked == walk
+        assert got == naive_check(L, below)
+        assert got.witness == {"x": 1, "y": 0}
 
 
 def builtins_and_inclusions():
@@ -792,7 +801,7 @@ def test_shared_templates_give_the_same_search(monkeypatch):
 
     def search(L, ident):
         calls.clear()
-        terms._locate(L, ident, 256, len(ident.variables))
+        terms._locate(L, ident, 256, [range(L.n)] * len(ident.variables))
         return calls[:]
 
     shared, results = 0, set()
